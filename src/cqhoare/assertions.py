@@ -7,7 +7,6 @@ formal state of norm other than 1; never silently renormalized).
 """
 
 from dataclasses import dataclass
-import itertools
 
 import numpy as np
 
@@ -273,7 +272,7 @@ def _eval_state(sigma, s, interp):
                 raise NotWellDefined("gate target outside the state signature")
         params = tuple(cl.eval_expr(sigma, e) for e in s.params)
         u = gate.matrix(params, interp.tolerances)
-        return la.embed(u, sids, layout) @ v, layout
+        return la.apply_left(u, v, sids, layout), layout
     raise AssertionError_("unknown formal state node %r" % (s,))
 
 
@@ -319,7 +318,7 @@ def _eval_pred(sigma, a, interp):
         if set(l1.ids) & set(l2.ids):
             raise NotWellDefined("overlapping signatures in predicate tensor")
         layout = la.union_layout(l1, l2, interp.order_key)
-        return la.embed(o1, list(l1.ids), layout) @ la.embed(o2, list(l2.ids), layout), layout
+        return la.apply_left(o1, la.embed(o2, l2.ids, layout), l1.ids, layout), layout
     if isinstance(a, Kraus):
         sym = interp.kraus_symbol(a.name)
         if len(a.branches) != sym.rank:
@@ -346,8 +345,7 @@ def _eval_pred(sigma, a, interp):
             raise AssertionError_("kraus symbol %s dimension mismatch" % a.name)
         out = np.zeros((layout.dim, layout.dim), dtype=complex)
         for f, b in zip(ops, mats):
-            big = la.embed(f, sids, layout)
-            out += big @ b @ big.conj().T
+            out += la.conjugate(f, b, sids, layout)
         return out, layout
     raise AssertionError_("unknown predicate node %r" % (a,))
 
@@ -488,6 +486,18 @@ class Domain:
     def states(self, names):
         return cl.iter_states(self.typing, names, cap=self.cap)
 
+    def enumerate(self, names):
+        """Every state over `names`, or an inconclusive Verdict when a name
+        has no enumerable type or the state space exceeds the cap."""
+        missing = [n for n in sorted(names) if n not in self.typing]
+        if missing:
+            return Verdict("inconclusive",
+                           reason="no enumerable domain for %s" % ", ".join(missing))
+        try:
+            return list(self.states(names))
+        except cl.EvalError as e:
+            return Verdict("inconclusive", reason=str(e))
+
     def to_json(self):
         return {n: cl.type_to_json(t) for n, t in self.typing.items()}
 
@@ -502,15 +512,9 @@ def _comparable(ra, rb, interp):
 
 def entails(phi, a, b, domain, interp):
     """phi |= A <= B by exhaustive enumeration of the domain."""
-    names = cl.free_vars(phi) | cv(a) | cv(b)
-    missing = [n for n in sorted(names) if n not in domain.typing]
-    if missing:
-        return Verdict("inconclusive",
-                       reason="no enumerable domain for %s" % ", ".join(missing))
-    try:
-        states = list(domain.states(names))
-    except cl.EvalError as e:
-        return Verdict("inconclusive", reason=str(e))
+    states = domain.enumerate(cl.free_vars(phi) | cv(a) | cv(b))
+    if isinstance(states, Verdict):
+        return states
     checked = 0
     for sigma in states:
         if not cl.satisfies(sigma, phi):
@@ -530,15 +534,9 @@ def entails(phi, a, b, domain, interp):
 
 
 def classical_entails(phi, psi, domain):
-    names = cl.free_vars(phi) | cl.free_vars(psi)
-    missing = [n for n in sorted(names) if n not in domain.typing]
-    if missing:
-        return Verdict("inconclusive",
-                       reason="no enumerable domain for %s" % ", ".join(missing))
-    try:
-        states = list(domain.states(names))
-    except cl.EvalError as e:
-        return Verdict("inconclusive", reason=str(e))
+    states = domain.enumerate(cl.free_vars(phi) | cl.free_vars(psi))
+    if isinstance(states, Verdict):
+        return states
     for sigma in states:
         if cl.satisfies(sigma, phi) and not cl.satisfies(sigma, psi):
             return Verdict("fails", witness=sigma, reason="classical entailment fails")

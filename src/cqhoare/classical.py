@@ -480,13 +480,11 @@ def free_vars(expr):
     raise EvalError("unknown expression node %r" % (expr,))
 
 
-_fresh_counter = itertools.count()
-
-
 def _fresh(base, avoid):
-    cand = base
+    """The first of base, base_0, base_1, ... not in avoid."""
+    cand, i = base, 0
     while cand in avoid:
-        cand = "%s_%d" % (base, next(_fresh_counter))
+        cand, i = "%s_%d" % (base, i), i + 1
     return cand
 
 

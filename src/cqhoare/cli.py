@@ -281,7 +281,7 @@ def main(argv=None):
     except (qs.ParseError, st.InterpError, st.ResolutionError,
             sem.SemanticsError, la.LayoutError, cl.EvalError,
             FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as e:
+            ValueError, RecursionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
 

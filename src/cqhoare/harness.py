@@ -9,7 +9,7 @@ formula.  Partial-correctness triples additionally credit the mass that
 provably has not terminated within the fuel budget.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,12 @@ from . import prover as pv
 from .assertions import CqAssertion, StateProj, Kraus, Atomic, Domain
 
 EXHAUSTIVE_SIGMA_CAP = 10 ** 4
-FUZZ_EPS = 1e-7
 
 
 @dataclass
 class RunConfig:
     fuel: int = 64
     branch_cap: int = sem.BRANCH_CAP
-    tolerances: la.Tolerances = field(default_factory=la.Tolerances)
     samples: int = 20
     seed: int = 0
 
@@ -198,7 +196,7 @@ def fuzz_triple(triple, interp, cfg=None):
                           reason="no input with satisfiable precondition")
     checked = [r for r in records if r.status == "checked"]
     worst = min((r.margin for r in checked), default=0.0)
-    if any(r.margin < -FUZZ_EPS for r in checked):
+    if any(r.margin < -interp.tolerances.fuzz for r in checked):
         verdict = "inconsistent"
     elif len(checked) < len(records):
         verdict = "inconclusive"

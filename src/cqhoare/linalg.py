@@ -6,7 +6,9 @@ pairs whose order fixes the tensor-factor order.  A system id is a pair
 empty subscript tuple.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import math
+
 import numpy as np
 
 # System id: (base name, resolved subscripts).  Hashable and orderable
@@ -25,7 +27,6 @@ class Tolerances:
     completeness: float = 1e-9
     prune: float = 1e-14
     fuzz: float = 1e-7
-    float_eq: float = 1e-12
 
     @staticmethod
     def from_dict(d):
@@ -69,10 +70,7 @@ class RegisterLayout:
 
     @property
     def dim(self):
-        d = 1
-        for _, k in self.systems:
-            d *= k
-        return d
+        return math.prod(k for _, k in self.systems)
 
     @property
     def ids(self):
@@ -115,29 +113,6 @@ def union_layout(a, b, order_key=None):
     return RegisterLayout(tuple(items))
 
 
-def kron_all(mats):
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def _perm_tensor(mat, dims_src, perm):
-    """Reorder the tensor factors of a square matrix.
-
-    dims_src are the factor dimensions of `mat`'s current order; perm[i] is
-    the position in the current order of the factor that should end up at
-    position i.
-    """
-    n = len(dims_src)
-    if n == 0:
-        return mat
-    shape = list(dims_src) + list(dims_src)
-    t = mat.reshape(shape)
-    axes = list(perm) + [n + p for p in perm]
-    return t.transpose(axes).reshape(mat.shape)
-
-
 def permute_vector(vec, dims_src, perm):
     n = len(dims_src)
     if n == 0:
@@ -146,35 +121,48 @@ def permute_vector(vec, dims_src, perm):
     return t.transpose(list(perm)).reshape(-1)
 
 
-def embed(op, targets, layout):
-    """Embed `op`, given on `targets` (in that order), into the full layout.
-
-    Acts as the identity on every system of the layout not in targets.
-    """
-    ids = list(layout.ids)
-    for t in targets:
-        if t not in ids:
-            raise LayoutError("target %s not in layout" % format_system(t))
-    if len(set(targets)) != len(targets):
+def _target_axes(targets, layout):
+    axes = [layout.index(t) for t in targets]
+    if len(set(axes)) != len(axes):
         raise LayoutError("repeated target system")
-    rest = [s for s in ids if s not in targets]
-    order = list(targets) + rest
-    dims_order = [layout.dim_of(s) for s in order]
-    rest_dim = 1
-    for s in rest:
-        rest_dim *= layout.dim_of(s)
-    tdim = 1
-    for s in targets:
-        tdim *= layout.dim_of(s)
+    return axes
+
+
+def apply_left(op, a, targets, layout):
+    """op @ a, with `op` acting on the `targets` factors (in that order) of
+    the row index of `a`, a vector or matrix with layout.dim rows.
+
+    The target axes are moved to the front for one matmul and moved back,
+    so no operator on the whole layout is ever built.
+    """
+    axes = _target_axes(targets, layout)
+    dims = layout.dims()
+    tdim = math.prod(dims[i] for i in axes)
     if op.shape != (tdim, tdim):
         raise LayoutError(
             "operator shape %s does not match target dimension %d"
             % (op.shape, tdim)
         )
-    big = np.kron(op, np.eye(rest_dim, dtype=complex))
-    # big is in `order`; permute back to layout order
-    perm = [order.index(s) for s in ids]
-    return _perm_tensor(big, dims_order, perm)
+    n = len(dims)
+    perm = axes + [i for i in range(n) if i not in axes]
+    cols = list(range(n, a.ndim - 1 + n))
+    t = a.reshape(dims + a.shape[1:]).transpose(perm + cols)
+    out = (op @ t.reshape(tdim, -1)).reshape(t.shape)
+    return out.transpose([perm.index(i) for i in range(n)] + cols).reshape(a.shape)
+
+
+def conjugate(op, a, targets, layout):
+    """E a E^dagger for E = `op` on `targets`: two kernel calls."""
+    half = apply_left(op, a, targets, layout).conj().T
+    return apply_left(op, half, targets, layout).conj().T
+
+
+def embed(op, targets, layout):
+    """Embed `op`, given on `targets` (in that order), into the full layout.
+
+    Acts as the identity on every system of the layout not in targets.
+    """
+    return apply_left(op, np.eye(layout.dim, dtype=complex), targets, layout)
 
 
 def embed_vector(vec, sources, layout):
@@ -201,12 +189,6 @@ def is_psd(a, eps=1e-9):
     h = (a + a.conj().T) / 2
     w = np.linalg.eigvalsh(h)
     return bool(w.min() >= -eps) if w.size else True
-
-
-def min_eig(a):
-    h = (a + a.conj().T) / 2
-    w = np.linalg.eigvalsh(h)
-    return float(w.min()) if w.size else 0.0
 
 
 def is_unitary(u, eps=1e-9):
@@ -256,8 +238,8 @@ class DensityOperator:
 
     def apply(self, op, targets):
         """Conjugate by an operator on the given targets: E rho E^dagger."""
-        e = embed(op, targets, self.layout)
-        return DensityOperator(self.layout, e @ self.mat @ e.conj().T)
+        return DensityOperator(
+            self.layout, conjugate(op, self.mat, targets, self.layout))
 
     def copy(self):
         return DensityOperator(self.layout, self.mat.copy())

@@ -381,13 +381,10 @@ def _check_loop_tot(node, interp, domain):
         return _reject("ranking variable %s is not fresh" % z)
     side.append(("freshness", "holds", "z fresh"))
     # phi -> t >= 0, and t integer-valued, by enumeration
-    names = cl.free_vars(phi) | cl.free_vars(tv)
-    missing = [n for n in sorted(names) if n not in domain.typing]
-    if missing:
-        return NodeVerdict("inconclusive",
-                           "no enumerable domain for %s" % ", ".join(missing),
-                           side)
-    for sigma in domain.states(names):
+    states = domain.enumerate(cl.free_vars(phi) | cl.free_vars(tv))
+    if isinstance(states, Verdict):
+        return NodeVerdict("inconclusive", states.reason, side)
+    for sigma in states:
         if not cl.satisfies(sigma, phi):
             continue
         v = cl.eval_expr(sigma, tv)
@@ -439,11 +436,10 @@ def _mutual_exclusion(psis, domain):
     names = set()
     for p in psis:
         names |= cl.free_vars(p)
-    missing = [n for n in sorted(names) if n not in domain.typing]
-    if missing:
-        return Verdict("inconclusive",
-                       reason="no enumerable domain for %s" % ", ".join(missing))
-    for sigma in domain.states(names):
+    states = domain.enumerate(names)
+    if isinstance(states, Verdict):
+        return states
+    for sigma in states:
         hits = [i for i, p in enumerate(psis) if cl.satisfies(sigma, p)]
         if len(hits) > 1:
             return Verdict("fails", witness=sigma,

@@ -8,7 +8,7 @@ unrollings, and the nontermination lower bound after fuel n is the trace
 still sitting in unfinished loops.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from . import classical as cl
 from . import linalg as la
 from . import qsyntax as qs
 from .linalg import DensityOperator
-from .structures import ResolutionError
 
 BRANCH_CAP = 10 ** 6
 
@@ -59,29 +58,60 @@ class OutcomeMultiset:
         return sum(c.state.trace() for c in self.residual)
 
 
-def _resolve_targets(interp, sigma, targets):
-    return [interp.resolve(sigma, q) for q in targets]
-
-
-def _dist_ok(sids):
-    return len(set(sids)) == len(sids)
-
-
-def _init_channel(rho, sid, interp):
+def _init_channel(rho, sid):
+    """sum_n |0><n| rho |n><0| on system `sid`."""
     d = rho.layout.dim_of(sid)
-    out = np.zeros_like(rho.mat)
-    for n in range(d):
-        e = np.outer(la.basis_vector(0, d), la.basis_vector(n, d).conj())
-        big = la.embed(e, [sid], rho.layout)
-        out += big @ rho.mat @ big.conj().T
+    zero = la.basis_vector(0, d)
+    out = sum(rho.apply(np.outer(zero, la.basis_vector(n, d)), [sid]).mat
+              for n in range(d))
     return DensityOperator(rho.layout, out)
 
 
-def _check_gate_dims(interp, gate, sids, layout):
-    dims = tuple(layout.dim_of(s) for s in sids)
-    if dims != tuple(gate.dims):
-        raise SemanticsError(
-            "gate %s expects dimensions %s, got %s" % (gate.name, gate.dims, dims))
+def _distinct_targets(interp, sigma, targets):
+    """Resolved target systems, or None when two of them coincide."""
+    sids = [interp.resolve(sigma, q) for q in targets]
+    return sids if len(set(sids)) == len(sids) else None
+
+
+def _atomic(p, state, interp):
+    """Successor states of an atomic statement, in outcome order, or None
+    when a distinctness premise fails and the statement is blocked.
+
+    The one implementation of skip, assignment, initialization, unitaries
+    and measurement, shared by `step` and the structural semantics.
+    """
+    sigma, rho = state.sigma, state.rho
+    if isinstance(p, qs.Skip):
+        return [state]
+    if isinstance(p, qs.Assign):
+        v = cl.eval_expr(sigma, p.expr)
+        t = interp.classical_vars.get(p.var)
+        if t is not None and not t.contains(v):
+            raise SemanticsError(
+                "assignment of %r to %s leaves its declared type" % (v, p.var))
+        return [CqState(sigma.update(p.var, v), rho)]
+    if isinstance(p, qs.Init):
+        return [CqState(sigma, _init_channel(rho, interp.resolve(sigma, p.qvar)))]
+    if isinstance(p, qs.Gate):
+        gate = interp.gate(p.name)
+        sids = _distinct_targets(interp, sigma, p.targets)
+        if sids is None:
+            return None
+        dims = tuple(rho.layout.dim_of(s) for s in sids)
+        if dims != tuple(gate.dims):
+            raise SemanticsError("gate %s expects dimensions %s, got %s"
+                                 % (gate.name, gate.dims, dims))
+        params = tuple(cl.eval_expr(sigma, e) for e in p.params)
+        u = gate.matrix(params, interp.tolerances)
+        return [CqState(sigma, rho.apply(u, sids))]
+    if isinstance(p, qs.Measure):
+        meas = interp.measurement(p.meas)
+        sids = _distinct_targets(interp, sigma, p.targets)
+        if sids is None:
+            return None
+        return [CqState(sigma.update(p.var, m), rho.apply(op, sids))
+                for m, op in meas.operators.items()]
+    raise SemanticsError("unknown program node %r" % (p,))
 
 
 @dataclass
@@ -103,37 +133,6 @@ def step(config, interp):
     p, s = config.program, config.state
     if p is None:
         raise SemanticsError("configuration already terminated")
-    if isinstance(p, qs.Skip):
-        return StepResult([_Succ(None, s)])
-    if isinstance(p, qs.Assign):
-        v = cl.eval_expr(s.sigma, p.expr)
-        t = interp.classical_vars.get(p.var)
-        if t is not None and not t.contains(v):
-            raise SemanticsError(
-                "assignment of %r to %s leaves its declared type" % (v, p.var))
-        return StepResult([_Succ(None, CqState(s.sigma.update(p.var, v), s.rho))])
-    if isinstance(p, qs.Init):
-        sid = interp.resolve(s.sigma, p.qvar)
-        return StepResult([_Succ(None, CqState(s.sigma, _init_channel(s.rho, sid, interp)))])
-    if isinstance(p, qs.Gate):
-        gate = interp.gate(p.name)
-        sids = _resolve_targets(interp, s.sigma, p.targets)
-        if not _dist_ok(sids):
-            return StepResult([], blocked=True)
-        _check_gate_dims(interp, gate, sids, s.rho.layout)
-        params = tuple(cl.eval_expr(s.sigma, e) for e in p.params)
-        u = gate.matrix(params, interp.tolerances)
-        return StepResult([_Succ(None, CqState(s.sigma, s.rho.apply(u, sids)))])
-    if isinstance(p, qs.Measure):
-        meas = interp.measurement(p.meas)
-        sids = _resolve_targets(interp, s.sigma, p.targets)
-        if not _dist_ok(sids):
-            return StepResult([], blocked=True)
-        succ = []
-        for m, op in meas.operators.items():
-            rho2 = s.rho.apply(op, sids)
-            succ.append(_Succ(None, CqState(s.sigma.update(p.var, m), rho2)))
-        return StepResult(succ)
     if isinstance(p, qs.Seq):
         inner = step(Configuration(p.first, s), interp)
         succ = []
@@ -148,7 +147,10 @@ def step(config, interp):
         if cl.satisfies(s.sigma, p.cond):
             return StepResult([_Succ(qs.Seq(p.body, p), s, loop_step=True)])
         return StepResult([_Succ(None, s)])
-    raise SemanticsError("unknown program node %r" % (p,))
+    succ = _atomic(p, s, interp)
+    if succ is None:
+        return StepResult([], blocked=True)
+    return StepResult([_Succ(None, t) for t in succ])
 
 
 def run(program, state, fuel, interp, branch_cap=BRANCH_CAP, prune=None):
@@ -185,7 +187,8 @@ def run(program, state, fuel, interp, branch_cap=BRANCH_CAP, prune=None):
 
 
 # ---------------------------------------------------------------------------
-# Structural (denotational) semantics — independent of `step`
+# Structural (denotational) semantics: control flow, fuel and residuals
+# independent of `step`; only the atomic statements are shared
 
 
 def _seq_residual(cfg, second):
@@ -195,44 +198,10 @@ def _seq_residual(cfg, second):
 
 def _ssem(program, state, fuel, interp, prune):
     """Returns (list of (CqState, fuel_left), residual, blocked, pruned)."""
-    sigma, rho = state.sigma, state.rho
+    sigma = state.sigma
     tr = state.trace()
     if tr < prune:
         return [], [], 0.0, max(tr, 0.0)
-    if isinstance(program, qs.Skip):
-        return [(state, fuel)], [], 0.0, 0.0
-    if isinstance(program, qs.Assign):
-        v = cl.eval_expr(sigma, program.expr)
-        t = interp.classical_vars.get(program.var)
-        if t is not None and not t.contains(v):
-            raise SemanticsError(
-                "assignment of %r to %s leaves its declared type" % (v, program.var))
-        return [(CqState(sigma.update(program.var, v), rho), fuel)], [], 0.0, 0.0
-    if isinstance(program, qs.Init):
-        sid = interp.resolve(sigma, program.qvar)
-        return [(CqState(sigma, _init_channel(rho, sid, interp)), fuel)], [], 0.0, 0.0
-    if isinstance(program, qs.Gate):
-        gate = interp.gate(program.name)
-        sids = _resolve_targets(interp, sigma, program.targets)
-        if not _dist_ok(sids):
-            return [], [], tr, 0.0
-        _check_gate_dims(interp, gate, sids, rho.layout)
-        params = tuple(cl.eval_expr(sigma, e) for e in program.params)
-        u = gate.matrix(params, interp.tolerances)
-        return [(CqState(sigma, rho.apply(u, sids)), fuel)], [], 0.0, 0.0
-    if isinstance(program, qs.Measure):
-        meas = interp.measurement(program.meas)
-        sids = _resolve_targets(interp, sigma, program.targets)
-        if not _dist_ok(sids):
-            return [], [], tr, 0.0
-        items, pruned = [], 0.0
-        for m, op in meas.operators.items():
-            st = CqState(sigma.update(program.var, m), rho.apply(op, sids))
-            if st.trace() < prune:
-                pruned += max(st.trace(), 0.0)
-            else:
-                items.append((st, fuel))
-        return items, [], 0.0, pruned
     if isinstance(program, qs.Seq):
         i1, r1, b1, p1 = _ssem(program.first, state, fuel, interp, prune)
         items, residual = [], [_seq_residual(c, program.second) for c in r1]
@@ -263,7 +232,16 @@ def _ssem(program, state, fuel, interp, prune):
             blocked += b2
             pruned += p2
         return items, residual, blocked, pruned
-    raise SemanticsError("unknown program node %r" % (program,))
+    succ = _atomic(program, state, interp)
+    if succ is None:
+        return [], [], tr, 0.0
+    items, pruned = [], 0.0
+    for st in succ:
+        if st.trace() < prune:
+            pruned += max(st.trace(), 0.0)
+        else:
+            items.append((st, fuel))
+    return items, [], 0.0, pruned
 
 
 def structural_sem(program, state, fuel, interp, prune=None):

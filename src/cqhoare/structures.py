@@ -13,16 +13,14 @@ adjoint (Heisenberg picture) of the corresponding state transformer, and
 sub-normalization holds for all three.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 import math
-import threading
 
 import numpy as np
 
 from . import classical as cl
 from . import linalg as la
 from .linalg import Tolerances
-from .qsyntax import QVar
 
 
 class InterpError(ValueError):
@@ -54,28 +52,22 @@ class GateFamily:
 
     def __post_init__(self):
         self._cache = {}
-        self._lock = threading.Lock()
 
     @property
     def dim(self):
-        d = 1
-        for k in self.dims:
-            d *= k
-        return d
+        return math.prod(self.dims)
 
     def matrix(self, params, tol=Tolerances()):
         key = _key_of(params)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
         u = np.asarray(self.make(*params), dtype=complex)
         if u.shape != (self.dim, self.dim):
             raise InterpError("gate %s: wrong matrix shape" % self.name)
         if not la.is_unitary(u, tol.unitary):
             raise InterpError(
                 "gate %s is not unitary at parameters %r" % (self.name, params))
-        with self._lock:
-            self._cache[key] = u
+        self._cache[key] = u
         return u
 
 
@@ -85,8 +77,9 @@ class MeasurementFamily:
     outcome_type: object
     dims: tuple
     operators: dict  # outcome -> matrix
+    tol: InitVar[Tolerances] = Tolerances()
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         self.operators = {k: np.asarray(v, dtype=complex) for k, v in self.operators.items()}
         d = self.dim
         outs = self.outcome_type.values()
@@ -99,15 +92,12 @@ class MeasurementFamily:
             if m.shape != (d, d):
                 raise InterpError("measurement %s: wrong operator shape" % self.name)
             total += m.conj().T @ m
-        if np.max(np.abs(total - np.eye(d))) > 1e-9:
+        if np.max(np.abs(total - np.eye(d))) > tol.completeness:
             raise InterpError("measurement %s violates completeness" % self.name)
 
     @property
     def dim(self):
-        d = 1
-        for k in self.dims:
-            d *= k
-        return d
+        return math.prod(self.dims)
 
 
 @dataclass
@@ -123,22 +113,15 @@ class KrausSymbol:
 
     def __post_init__(self):
         self._cache = {}
-        self._lock = threading.Lock()
 
     @property
     def dim(self):
-        if self.dims is None:
-            return None
-        d = 1
-        for k in self.dims:
-            d *= k
-        return d
+        return None if self.dims is None else math.prod(self.dims)
 
     def operators(self, params, tol=Tolerances()):
         key = _key_of(params)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
         ops = list(self.make(*params))
         if len(ops) != self.rank:
             raise InterpError("kraus symbol %s: wrong rank" % self.name)
@@ -160,8 +143,7 @@ class KrausSymbol:
                 raise InterpError(
                     "kraus symbol %s violates sub-normalization" % self.name)
         ops = tuple(ops)
-        with self._lock:
-            self._cache[key] = ops
+        self._cache[key] = ops
         return ops
 
 
@@ -174,28 +156,22 @@ class AtomicPredicate:
 
     def __post_init__(self):
         self._cache = {}
-        self._lock = threading.Lock()
 
     @property
     def dim(self):
-        d = 1
-        for k in self.dims:
-            d *= k
-        return d
+        return math.prod(self.dims)
 
     def matrix(self, params, tol=Tolerances()):
         key = _key_of(params)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
         k = np.asarray(self.make(*params), dtype=complex)
         if k.shape != (self.dim, self.dim):
             raise InterpError("predicate %s: wrong matrix shape" % self.name)
         if not la.is_effect(k, tol.psd):
             raise InterpError(
                 "predicate %s is not an effect at parameters %r" % (self.name, params))
-        with self._lock:
-            self._cache[key] = k
+        self._cache[key] = k
         return k
 
 
@@ -521,9 +497,6 @@ def mat_to_json(m):
     return [[[float(e.real), float(e.imag)] for e in row] for row in np.asarray(m, dtype=complex)]
 
 
-_GATE_BUILDERS = None
-
-
 def load_interpretation(doc):
     """Build an Interpretation from its JSON document, starting from the
     built-in registries."""
@@ -565,7 +538,8 @@ def load_interpretation(doc):
                 ops[out] = _mat_from_json(rows)
             otype = cl.type_from_json(spec["outcome"])
             dims = tuple(spec.get("dims", (2,)))
-            interp.measurements[name] = MeasurementFamily(name, otype, dims, ops)
+            interp.measurements[name] = MeasurementFamily(
+                name, otype, dims, ops, interp.tolerances)
         interp.kraus["F_" + name] = derive_fm(interp.measurements[name])
     for name, spec in doc.get("kraus_symbols", {}).items():
         ops = [_mat_from_json(rows) for rows in spec["operators"]]

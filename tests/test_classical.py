@@ -111,6 +111,15 @@ def test_subst_capture_avoiding():
     assert not cl.satisfies(cl.ClassicalState({"y": 3}), got)
 
 
+def test_fresh_names_depend_only_on_the_formula():
+    f = parse_formula("forall i in 0..1 . i = x")
+    first = cl.subst(f, cl.Var("i"), "x")
+    assert cl.subst(f, cl.Var("i"), "x") == first
+    assert first.var != "i" and cl.free_vars(first) == {"i"}
+    # captured, the body would read i = i and hold
+    assert not cl.satisfies(cl.ClassicalState({"i": 0}), first)
+
+
 def test_formula_equal_normalizes_associativity_and_binders():
     a = parse_formula("(p = 1 and q = 1) and r = 1")
     b = parse_formula("p = 1 and (q = 1 and r = 1)")

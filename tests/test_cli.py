@@ -105,6 +105,12 @@ def test_usage_errors_exit_3(capsys, files):
     capsys.readouterr()
 
 
+def test_deep_program_exits_3_without_traceback(capsys):
+    assert cli.main(["parse", "; ".join(["skip"] * 2000)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_fuzz_subcommand(capsys, tmp_path):
     interp, accepted, _ = hz.build_corpus()
     target = tmp_path / "triple.json"

@@ -112,3 +112,12 @@ def test_unenumerable_domain_is_inconclusive():
         CqAssertion(cl.TRUE, Atomic("ID1", (), (QVar("q"),))))
     r = hz.fuzz_triple(t, interp, hz.RunConfig(samples=3, seed=0))
     assert r.verdict == "inconclusive"
+
+
+def test_fuzz_margin_reads_the_tolerance():
+    interp, _, mutants = hz.build_corpus()
+    t = mutants["skip_mismatch"].conclusion  # {P0} skip {P1}: margin down to -1
+    cfg = hz.RunConfig(samples=3, seed=0)
+    assert hz.fuzz_triple(t, interp, cfg).verdict == "inconsistent"
+    interp.tolerances = la.Tolerances(fuzz=2.0)
+    assert hz.fuzz_triple(t, interp, cfg).verdict == "consistent"

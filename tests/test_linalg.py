@@ -92,3 +92,40 @@ def test_union_layout_is_ordered_superset():
     b = layout("b", "c")
     u = la.union_layout(a, b, lambda s: s)
     assert [s[0] for s in u.ids] == ["a", "b", "c"]
+
+
+def _dense_reference(op, targets, lay):
+    """op on `targets`, the identity elsewhere, as an explicit matrix:
+    kron(op, I) in the order targets + rest, then permuted to layout order."""
+    ids = list(lay.ids)
+    order = list(targets) + [s for s in ids if s not in targets]
+    dims = [lay.dim_of(s) for s in order]
+    rest = lay.dim // op.shape[0]
+    big = np.kron(op, np.eye(rest)).reshape(dims + dims)
+    perm = [order.index(s) for s in ids]
+    return big.transpose(perm + [len(ids) + p for p in perm]).reshape(
+        lay.dim, lay.dim)
+
+
+def test_apply_left_matches_dense_reference():
+    rng = np.random.default_rng(11)
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        lay = la.RegisterLayout(tuple(
+            (la.system_id("s%d" % i), int(rng.choice([2, 3]))) for i in range(n)))
+        ids = list(lay.ids)
+        k = int(rng.integers(1, n + 1))
+        targets = [ids[i] for i in rng.permutation(n)[:k]]
+        tdim = int(np.prod([lay.dim_of(s) for s in targets]))
+        op = rand(tdim, tdim)
+        ref = _dense_reference(op, targets, lay)
+        d = lay.dim
+        v, m, rho = rand(d), rand(d, 3), rand(d, d)
+        assert np.max(np.abs(la.apply_left(op, v, targets, lay) - ref @ v)) < 1e-12
+        assert np.max(np.abs(la.apply_left(op, m, targets, lay) - ref @ m)) < 1e-12
+        got = la.DensityOperator(lay, rho).apply(op, targets).mat
+        assert np.max(np.abs(got - ref @ rho @ ref.conj().T)) < 1e-12

@@ -194,6 +194,52 @@ def test_convex1_max_weight(corpus):
     assert pv.check_node(wrong_max, interp).status == "rejected"
 
 
+# One value more than DOMAIN_CAP: enumerating it must give "inconclusive".
+_OVERSIZED = cl.IntType(0, cl.DOMAIN_CAP)
+
+
+def test_convex1_inconclusive_over_an_oversized_domain(corpus):
+    interp, _, _ = corpus
+    interp.declare_classical("w", _OVERSIZED)
+    psi = cl.BinOp("=", cl.Var("w"), cl.Lit(0))
+    b = StateProj(asrt.Ket(cl.Lit(0), QVar("q1")))
+    wsum = Kraus("WSUM1", (cl.Lit(0.5),), (), (b,))
+    premise = pv.ProofNode("Skip", pv.HoareTriple(
+        CqAssertion(psi, b), qs.Skip(), CqAssertion(psi, b)))
+    node = pv.ProofNode("Convex1", pv.HoareTriple(
+        CqAssertion(psi, wsum), qs.Skip(), CqAssertion(psi, wsum)),
+        (premise,), witnesses={"weights": [0.5]})
+    v = pv.check_node(node, interp)
+    assert v.status == "inconclusive", v.reason
+    assert "exceeds cap" in v.reason
+
+
+def test_loop_total_inconclusive_over_an_oversized_domain(corpus):
+    interp, accepted, _ = corpus
+    interp.declare_classical("w", _OVERSIZED)
+    loop = accepted["loop_total"].conclusion.program
+    a = accepted["loop_total"].conclusion.pre.a
+    phi = qs.parse_formula("w >= 0")
+    tv, z = cl.Var("x"), cl.Var("z")
+
+    def body(pre_phi, post_phi):
+        return pv.ProofNode("Ass", pv.HoareTriple(
+            CqAssertion(pre_phi, a), loop.body, CqAssertion(post_phi, a),
+            "total"))
+
+    phi_b = cl.BinOp("and", phi, loop.cond)
+    node = pv.ProofNode("LoopTot", pv.HoareTriple(
+        CqAssertion(phi, a), loop,
+        CqAssertion(cl.BinOp("and", phi, cl.neg(loop.cond)), a), "total"),
+        (body(phi_b, phi),
+         body(cl.BinOp("and", phi_b, cl.BinOp("=", tv, z)),
+              cl.BinOp("<", tv, z))),
+        witnesses={"t": tv, "z": "z"})
+    v = pv.check_node(node, interp)
+    assert v.status == "inconclusive", v.reason
+    assert "exceeds cap" in v.reason
+
+
 # ---------------------------------------------------------------------------
 # check_proportional
 

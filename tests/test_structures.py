@@ -46,6 +46,19 @@ def test_measurement_completeness_enforced():
                              {0: np.diag([1.0, 0.0]), 1: np.diag([0.0, 0.5])})
 
 
+def test_measurement_completeness_reads_the_tolerance():
+    # complete only to 1e-6: M1^dagger M1 = (1 + 1e-6) |1><1|
+    s = np.sqrt(1 + 1e-6)
+    doc = {"measurements": {"MX": {
+        "outcome": {"kind": "int", "lo": 0, "hi": 1},
+        "operators": {"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, s]]}}}}
+    with pytest.raises(st.InterpError):
+        st.load_interpretation(doc)
+    interp = st.load_interpretation(
+        dict(doc, tolerances={"completeness": 1e-5}))
+    assert set(interp.measurement("MX").operators) == {0, 1}
+
+
 def test_kraus_subnormalization():
     with pytest.raises(st.InterpError):
         st.KrausSymbol("TOOBIG", 1, (), (2,),
