@@ -6,7 +6,7 @@ yields an effect on the Hilbert space of the resolved signature or is
 formal state of norm other than 1; never silently renormalized).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -237,8 +237,92 @@ def _resolve_distinct(interp, sigma, targets, what):
     return sids
 
 
-def _eval_state(sigma, s, interp):
-    """Returns (vector, layout); raises NotWellDefined."""
+# ---------------------------------------------------------------------------
+# Evaluation memo
+#
+# A memo is a plain dict that one call (`check_script`, `fuzz_triple`) makes
+# for one interpretation and drops when it returns.  It holds
+#   id(node)          -> (node, token, names): the node's intern entry, made
+#                        once per node object; keeping the node keeps its id
+#                        from being reused while the memo lives
+#   ("tree", key)     -> token: one token per tree, literals compared with
+#                        their types, so Lit(1), Lit(1.0) and Lit(True) differ
+#   (token, *values)  -> (vector, layout), or the NotWellDefined reason, of a
+#                        formal state at the values of its classical variables
+#   ("layout", systems) -> the one layout object those entries share
+# Operators are never stored: a D x D matrix per sigma would outweigh the
+# vectors it is built from.
+
+
+_STATES = (Ket, STensor, Superpose, GateApp)
+_FORMAL = _STATES + (Atomic, StateProj, Neg, PTensor, Kraus)
+
+
+def _tree_key(memo, x):
+    if isinstance(x, _FORMAL):
+        return _intern(memo, x)[1]
+    if isinstance(x, tuple):
+        return tuple(_tree_key(memo, y) for y in x)
+    if is_dataclass(x):
+        return (type(x),) + tuple(_tree_key(memo, getattr(x, f.name))
+                                  for f in fields(x))
+    return (type(x), repr(x))
+
+
+def _intern(memo, node):
+    """(node, token, names) for a formal state or predicate; `names` are the
+    sorted classical variables of a state, empty for a predicate.  The key
+    of a node holds its children's tokens, so each node is keyed once."""
+    entry = memo.get(id(node))
+    if entry is None:
+        key = (type(node),) + tuple(_tree_key(memo, getattr(node, f.name))
+                                    for f in fields(node))
+        # tokens are memo sizes, which never repeat as the memo only grows
+        token = memo.setdefault(("tree", key), len(memo))
+        names = tuple(sorted(cv_state(node))) if isinstance(node, _STATES) else ()
+        entry = memo[id(node)] = (node, token, names)
+    return entry
+
+
+_unbound = object()  # key value of a variable sigma lacks; evaluation raises
+
+
+def _value_key(v):
+    # 1, 1.0 and True are equal as keys but not as values, nor are 0.0 and
+    # -0.0; so only an int, a string or a bit array stands for itself
+    return v if type(v) in (int, str, cl.Bits) else (type(v), repr(v))
+
+
+def sigma_key(sigma):
+    """Hashable form of a classical state that tells 1, 1.0 and True apart."""
+    return tuple((n, _value_key(v)) for n, v in sigma.key())
+
+
+def _eval_state(sigma, s, interp, memo=None):
+    """Returns (vector, layout); raises NotWellDefined.  With a memo, each
+    state is evaluated once per sigma restricted to its variables; other
+    errors are not stored and recur on the next call."""
+    if memo is None:
+        return _eval_state_node(sigma, s, interp, None)
+    _, token, names = _intern(memo, s)
+    key = (token,) + tuple(_value_key(sigma.get(n, _unbound)) for n in names)
+    hit = memo.get(key)
+    if hit is None:
+        try:
+            vec, layout = _eval_state_node(sigma, s, interp, memo)
+        except NotWellDefined as e:
+            hit = e.reason
+        else:
+            vec = np.array(vec)  # a compact copy, free of the views it came from
+            vec.flags.writeable = False
+            hit = (vec, memo.setdefault(("layout", layout.systems), layout))
+        memo[key] = hit
+    if isinstance(hit, str):
+        raise NotWellDefined(hit)
+    return hit
+
+
+def _eval_state_node(sigma, s, interp, memo):
     if isinstance(s, Ket):
         sid = interp.resolve(sigma, s.qvar)
         dim = interp.dim_of(sid)
@@ -246,25 +330,25 @@ def _eval_state(sigma, s, interp):
         layout = la.RegisterLayout(((sid, dim),))
         return la.basis_vector(idx, dim), layout
     if isinstance(s, STensor):
-        v1, l1 = _eval_state(sigma, s.left, interp)
-        v2, l2 = _eval_state(sigma, s.right, interp)
+        v1, l1 = _eval_state(sigma, s.left, interp, memo)
+        v2, l2 = _eval_state(sigma, s.right, interp, memo)
         if set(l1.ids) & set(l2.ids):
             raise NotWellDefined("overlapping signatures in tensor")
         layout = la.union_layout(l1, l2, interp.order_key)
-        vec = np.kron(v1, v2)
+        vec = np.outer(v1, v2).ravel()
         vec = la.embed_vector(vec, list(l1.ids) + list(l2.ids), layout)
         return vec, layout
     if isinstance(s, Superpose):
         a1 = complex(cl.eval_expr(sigma, s.c1))
         a2 = complex(cl.eval_expr(sigma, s.c2))
-        v1, l1 = _eval_state(sigma, s.s1, interp)
-        v2, l2 = _eval_state(sigma, s.s2, interp)
+        v1, l1 = _eval_state(sigma, s.s1, interp, memo)
+        v2, l2 = _eval_state(sigma, s.s2, interp, memo)
         if set(l1.ids) != set(l2.ids):
             raise NotWellDefined("superposed states have different signatures")
         v2 = la.embed_vector(v2, list(l2.ids), l1)
         return a1 * v1 + a2 * v2, l1
     if isinstance(s, GateApp):
-        v, layout = _eval_state(sigma, s.state, interp)
+        v, layout = _eval_state(sigma, s.state, interp, memo)
         gate = interp.gate(s.gate)
         sids = _resolve_distinct(interp, sigma, s.targets, "gate targets")
         for sid in sids:
@@ -276,9 +360,10 @@ def _eval_state(sigma, s, interp):
     raise AssertionError_("unknown formal state node %r" % (s,))
 
 
-def eval_state(sigma, s, interp, norm_tol=1e-9):
-    """Evaluate a formal state; well-defined only at norm 1."""
-    vec, layout = _eval_state(sigma, s, interp)
+def eval_state(sigma, s, interp, norm_tol=1e-9, memo=None):
+    """Evaluate a formal state; well-defined only at norm 1.  The vector
+    is read-only when it comes from a memo."""
+    vec, layout = _eval_state(sigma, s, interp, memo)
     n = float(np.linalg.norm(vec))
     if abs(n - 1.0) > norm_tol:
         raise NotWellDefined("state norm %.6g differs from 1" % n)
@@ -293,7 +378,7 @@ class EvalResult:
     reason: str = ""
 
 
-def _eval_pred(sigma, a, interp):
+def _eval_pred(sigma, a, interp, memo=None):
     """Returns (op, layout); raises NotWellDefined."""
     if isinstance(a, Atomic):
         fam = interp.predicate(a.name)
@@ -307,14 +392,14 @@ def _eval_pred(sigma, a, interp):
                 "predicate %s dimension mismatch" % a.name)
         return la.embed(k, sids, layout), layout
     if isinstance(a, StateProj):
-        vec, layout = eval_state(sigma, a.state, interp)
+        vec, layout = eval_state(sigma, a.state, interp, memo=memo)
         return np.outer(vec, vec.conj()), layout
     if isinstance(a, Neg):
-        op, layout = _eval_pred(sigma, a.arg, interp)
+        op, layout = _eval_pred(sigma, a.arg, interp, memo)
         return np.eye(layout.dim, dtype=complex) - op, layout
     if isinstance(a, PTensor):
-        o1, l1 = _eval_pred(sigma, a.left, interp)
-        o2, l2 = _eval_pred(sigma, a.right, interp)
+        o1, l1 = _eval_pred(sigma, a.left, interp, memo)
+        o2, l2 = _eval_pred(sigma, a.right, interp, memo)
         if set(l1.ids) & set(l2.ids):
             raise NotWellDefined("overlapping signatures in predicate tensor")
         layout = la.union_layout(l1, l2, interp.order_key)
@@ -326,7 +411,7 @@ def _eval_pred(sigma, a, interp):
                 "kraus symbol %s expects %d branches" % (a.name, sym.rank))
         params = tuple(cl.eval_expr(sigma, e) for e in a.params)
         ops = sym.operators(params, interp.tolerances)
-        evs = [_eval_pred(sigma, b, interp) for b in a.branches]
+        evs = [_eval_pred(sigma, b, interp, memo) for b in a.branches]
         layout = evs[0][1]
         for _, l in evs[1:]:
             layout = la.union_layout(layout, l, interp.order_key)
@@ -350,9 +435,9 @@ def _eval_pred(sigma, a, interp):
     raise AssertionError_("unknown predicate node %r" % (a,))
 
 
-def eval_predicate(sigma, a, interp):
+def eval_predicate(sigma, a, interp, memo=None):
     try:
-        op, layout = _eval_pred(sigma, a, interp)
+        op, layout = _eval_pred(sigma, a, interp, memo)
     except NotWellDefined as e:
         return EvalResult(False, reason=e.reason)
     return EvalResult(True, op=op, layout=layout)
@@ -477,7 +562,7 @@ class Domain:
         missing = []
         for n in sorted(names):
             t = interp.classical_vars.get(n)
-            if t is None or t.values() is None:
+            if t is None or t.size() is None:
                 missing.append(n)
             else:
                 typing[n] = t
@@ -510,18 +595,25 @@ def _comparable(ra, rb, interp):
     return oa, ob
 
 
-def entails(phi, a, b, domain, interp):
-    """phi |= A <= B by exhaustive enumeration of the domain."""
+def entails(phi, a, b, domain, interp, memo=None):
+    """phi |= A <= B by exhaustive enumeration of the domain.
+
+    With a memo, A and B that are the same tree are reflexive: A is still
+    evaluated at every sigma, so its errors and well-definedness decide as
+    before, but B and the Loewner comparison (B - A = 0) are skipped."""
     states = domain.enumerate(cl.free_vars(phi) | cv(a) | cv(b))
     if isinstance(states, Verdict):
         return states
+    reflexive = memo is not None and _intern(memo, a)[1] == _intern(memo, b)[1]
     checked = 0
     for sigma in states:
         if not cl.satisfies(sigma, phi):
             continue
         checked += 1
-        ra = eval_predicate(sigma, a, interp)
-        rb = eval_predicate(sigma, b, interp)
+        ra = eval_predicate(sigma, a, interp, memo)
+        if reflexive:
+            continue
+        rb = eval_predicate(sigma, b, interp, memo)
         if ra.well_defined != rb.well_defined:
             return Verdict("fails", witness=sigma,
                            reason="well-definedness disagrees")
@@ -543,12 +635,12 @@ def classical_entails(phi, psi, domain):
     return Verdict("holds")
 
 
-def cq_entails(pre, post, domain, interp):
+def cq_entails(pre, post, domain, interp, memo=None):
     """(phi, A) |= (psi, B): classical entailment plus Loewner entailment."""
     c = classical_entails(pre.phi, post.phi, domain)
     if c.status != "holds":
         return c
-    return entails(pre.phi, pre.a, post.a, domain, interp)
+    return entails(pre.phi, pre.a, post.a, domain, interp, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -690,23 +782,25 @@ def pred_to_json(a):
     raise AssertionError_("unknown predicate node %r" % (a,))
 
 
-def pred_from_json(d):
+def pred_from_json(d, parsed=None):
+    """`parsed` is a `qs.parse_once` cache shared by one document."""
     kind = d["kind"]
     if kind == "atomic":
         return Atomic(d["name"],
                       tuple(qs.parse_expr(e) for e in d.get("params", [])),
                       tuple(_qvar_from_json(q) for q in d["targets"]))
     if kind == "proj":
-        return StateProj(parse_state(d["state"]))
+        return StateProj(qs.parse_once(parsed, parse_state, d["state"]))
     if kind == "neg":
-        return Neg(pred_from_json(d["arg"]))
+        return Neg(pred_from_json(d["arg"], parsed))
     if kind == "tensor":
-        return PTensor(pred_from_json(d["left"]), pred_from_json(d["right"]))
+        return PTensor(pred_from_json(d["left"], parsed),
+                       pred_from_json(d["right"], parsed))
     if kind == "kraus":
         return Kraus(d["name"],
                      tuple(qs.parse_expr(e) for e in d.get("params", [])),
                      tuple(_qvar_from_json(q) for q in d.get("targets", [])),
-                     tuple(pred_from_json(b) for b in d["branches"]))
+                     tuple(pred_from_json(b, parsed) for b in d["branches"]))
     raise AssertionError_("unknown predicate kind %r" % kind)
 
 
@@ -714,5 +808,6 @@ def assertion_to_json(ca):
     return {"phi": format_expr(ca.phi), "a": pred_to_json(ca.a)}
 
 
-def assertion_from_json(d):
-    return CqAssertion(qs.parse_formula(d["phi"]), pred_from_json(d["a"]))
+def assertion_from_json(d, parsed=None):
+    return CqAssertion(qs.parse_once(parsed, qs.parse_formula, d["phi"]),
+                       pred_from_json(d["a"], parsed))

@@ -22,8 +22,16 @@ class EvalError(ValueError):
 # Types
 
 
+# Every type has `size()`, the number of its values or None when it is not
+# enumerable, and `values()`, the list of them or None; test enumerability and
+# size with `size()`, which builds nothing.
+
+
 @dataclass(frozen=True)
 class BoolType:
+    def size(self):
+        return 2
+
     def values(self):
         return [False, True]
 
@@ -38,6 +46,9 @@ class BoolType:
 class IntType:
     lo: int
     hi: int
+
+    def size(self):
+        return max(self.hi - self.lo + 1, 0)
 
     def values(self):
         return list(range(self.lo, self.hi + 1))
@@ -54,6 +65,9 @@ class EnumType:
     name: str
     labels: tuple
 
+    def size(self):
+        return len(self.labels)
+
     def values(self):
         return list(self.labels)
 
@@ -66,6 +80,9 @@ class EnumType:
 
 @dataclass(frozen=True)
 class RealType:
+    def size(self):
+        return None
+
     def values(self):
         return None
 
@@ -78,6 +95,9 @@ class RealType:
 
 @dataclass(frozen=True)
 class ComplexType:
+    def size(self):
+        return None
+
     def values(self):
         return None
 
@@ -121,20 +141,23 @@ class BitArrayType:
         if self.hi < self.lo:
             raise ValueError("empty bit array range")
 
-    def size(self):
+    def width(self):
         return self.hi - self.lo + 1
+
+    def size(self):
+        return 2 ** self.width()
 
     def values(self):
         return [
             Bits(self.lo, bits)
-            for bits in itertools.product((0, 1), repeat=self.size())
+            for bits in itertools.product((0, 1), repeat=self.width())
         ]
 
     def contains(self, v):
         return (
             isinstance(v, Bits)
             and v.lo == self.lo
-            and len(v.bits) == self.size()
+            and len(v.bits) == self.width()
             and all(b in (0, 1) for b in v.bits)
         )
 
@@ -537,19 +560,18 @@ def iter_states(typing, names=None, base=None, cap=DOMAIN_CAP):
     domain is not enumerable or the product exceeds the cap.
     """
     names = sorted(typing) if names is None else sorted(names)
-    domains = []
     total = 1
     for n in names:
         t = typing.get(n)
         if t is None:
             raise EvalError("no declared type for variable %r" % n)
-        vals = t.values()
-        if vals is None:
+        size = t.size()
+        if size is None:
             raise EvalError("type of %r is not enumerable" % n)
-        domains.append(vals)
-        total *= len(vals)
+        total *= size
         if total > cap:
             raise EvalError("state space size exceeds cap %d" % cap)
+    domains = [typing[n].values() for n in names]
     base_b = dict(base.items()) if base is not None else {}
     for combo in itertools.product(*domains):
         b = dict(base_b)
@@ -561,9 +583,10 @@ def domain_size(typing, names):
     total = 1
     for n in sorted(names):
         t = typing.get(n)
-        if t is None or t.values() is None:
+        size = None if t is None else t.size()
+        if size is None:
             return None
-        total *= len(t.values())
+        total *= size
     return total
 
 

@@ -116,10 +116,10 @@ def _input_rhos(rng, layout, samples):
     return out
 
 
-def _embedded(sigma, pred, layout, interp):
+def _embedded(sigma, pred, layout, interp, memo=None):
     """Effect of a predicate at sigma, embedded into the ambient layout;
     None when not well-defined there."""
-    r = asrt.eval_predicate(sigma, pred, interp)
+    r = asrt.eval_predicate(sigma, pred, interp, memo)
     if not r.well_defined:
         return None
     try:
@@ -131,7 +131,11 @@ def _embedded(sigma, pred, layout, interp):
 def fuzz_triple(triple, interp, cfg=None):
     """Empirical check of tr(A rho) <= sum tr(B rho') (+ unterminated mass
     in partial mode) over enumerated or sampled classical states and
-    basis / random pure / random mixed quantum inputs."""
+    basis / random pure / random mixed quantum inputs.
+
+    Formal states are evaluated once per classical state for the whole
+    call, and the postcondition's embedded effect once per output
+    classical state of each input sigma."""
     cfg = cfg or RunConfig()
     rng = np.random.default_rng(cfg.seed)
     names = _triple_names(triple)
@@ -160,24 +164,29 @@ def fuzz_triple(triple, interp, cfg=None):
     records = []
     skipped = 0
     rhos = None
+    memo = {}
     for sigma in sigmas:
         if not cl.satisfies(sigma, triple.pre.phi):
             continue
-        a_op = _embedded(sigma, triple.pre.a, layout, interp)
+        a_op = _embedded(sigma, triple.pre.a, layout, interp, memo)
         if a_op is None:
             skipped += 1
             continue
         if rhos is None:
             rhos = _input_rhos(rng, layout, cfg.samples)
+        post_ops = {}  # output sigma -> B there, None when it does not count
         for kind, rho in rhos:
             lhs = la.trace_product(a_op, rho.mat)
             out = sem.run(triple.program, sem.CqState(sigma, rho.copy()),
                           cfg.fuel, interp, branch_cap=cfg.branch_cap)
             rhs = 0.0
             for item in out.items:
-                if not cl.satisfies(item.sigma, triple.post.phi):
-                    continue
-                b_op = _embedded(item.sigma, triple.post.a, layout, interp)
+                key = asrt.sigma_key(item.sigma)
+                if key not in post_ops:
+                    post_ops[key] = (
+                        _embedded(item.sigma, triple.post.a, layout, interp, memo)
+                        if cl.satisfies(item.sigma, triple.post.phi) else None)
+                b_op = post_ops[key]
                 if b_op is None:
                     continue
                 rhs += la.trace_product(b_op, item.rho.mat)

@@ -202,7 +202,7 @@ def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
 # Per-rule checking
 
 
-def _check_skip(node, interp, domain):
+def _check_skip(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.Skip):
         return _reject("program is not skip")
@@ -211,7 +211,7 @@ def _check_skip(node, interp, domain):
     return NodeVerdict("accepted")
 
 
-def _check_ass(node, interp, domain):
+def _check_ass(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.Assign):
         return _reject("program is not an assignment")
@@ -225,7 +225,7 @@ def _check_ass(node, interp, domain):
     return NodeVerdict("accepted")
 
 
-def _check_init(node, interp, domain):
+def _check_init(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.Init):
         return _reject("program is not an initialization")
@@ -239,7 +239,7 @@ def _check_init(node, interp, domain):
     return NodeVerdict("accepted")
 
 
-def _check_uni(node, interp, domain):
+def _check_uni(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.Gate):
         return _reject("program is not a gate application")
@@ -254,7 +254,7 @@ def _check_uni(node, interp, domain):
     return NodeVerdict("accepted")
 
 
-def _check_meas(node, interp, domain):
+def _check_meas(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.Measure):
         return _reject("program is not a measurement")
@@ -278,7 +278,7 @@ def _check_meas(node, interp, domain):
     return NodeVerdict("accepted")
 
 
-def _check_seq(node, interp, domain):
+def _check_seq(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.Seq):
         return _reject("program is not a sequence")
@@ -294,7 +294,7 @@ def _check_seq(node, interp, domain):
     return NodeVerdict("accepted")
 
 
-def _check_cond(node, interp, domain):
+def _check_cond(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.If):
         return _reject("program is not a conditional")
@@ -316,7 +316,7 @@ def _check_cond(node, interp, domain):
     return NodeVerdict("accepted")
 
 
-def _check_loop_par(node, interp, domain):
+def _check_loop_par(node, interp, domain, memo):
     t = node.conclusion
     if t.mode != "partial":
         return _reject("this loop rule is for partial correctness")
@@ -341,7 +341,7 @@ def _check_loop_par(node, interp, domain):
     return NodeVerdict("accepted")
 
 
-def _check_loop_tot(node, interp, domain):
+def _check_loop_tot(node, interp, domain, memo):
     t = node.conclusion
     if t.mode != "total":
         return _reject("this loop rule is for total correctness")
@@ -396,7 +396,7 @@ def _check_loop_tot(node, interp, domain):
     return NodeVerdict("accepted", side_conditions=side)
 
 
-def _check_conseq(node, interp, domain):
+def _check_conseq(node, interp, domain, memo):
     t = node.conclusion
     if len(node.premises) != 1:
         return _reject("consequence rule takes one premise")
@@ -404,9 +404,9 @@ def _check_conseq(node, interp, domain):
     if tp.program != t.program:
         return _reject("premise program differs")
     side = []
-    v1 = asrt.cq_entails(t.pre, tp.pre, domain, interp)
+    v1 = asrt.cq_entails(t.pre, tp.pre, domain, interp, memo)
     side.append(("pre-entailment", v1.status, v1.reason))
-    v2 = asrt.cq_entails(tp.post, t.post, domain, interp)
+    v2 = asrt.cq_entails(tp.post, t.post, domain, interp, memo)
     side.append(("post-entailment", v2.status, v2.reason))
     for v in (v1, v2):
         if v.status == "fails":
@@ -478,7 +478,7 @@ def _eval_const_params(params):
     return tuple(out)
 
 
-def _check_accum1(node, interp, domain):
+def _check_accum1(node, interp, domain, memo):
     t = node.conclusion
     sym, err = _accum_common(node, interp)
     if err:
@@ -531,7 +531,7 @@ def _check_accum1(node, interp, domain):
     return NodeVerdict("accepted", side_conditions=side)
 
 
-def _check_accum2(node, interp, domain):
+def _check_accum2(node, interp, domain, memo):
     t = node.conclusion
     sym, err = _accum_common(node, interp)
     if err:
@@ -581,7 +581,7 @@ def _params_close(params, values):
     return all(abs(float(a) - float(b)) <= 1e-12 for a, b in zip(got, values))
 
 
-def _check_convex1(node, interp, domain):
+def _check_convex1(node, interp, domain, memo):
     t = node.conclusion
     k = len(node.premises)
     sym, err = _accum_common(node, interp)
@@ -617,7 +617,7 @@ def _check_convex1(node, interp, domain):
     return NodeVerdict("accepted", side_conditions=side)
 
 
-def _check_convex2(node, interp, domain):
+def _check_convex2(node, interp, domain, memo):
     t = node.conclusion
     k = len(node.premises)
     sym, err = _accum_common(node, interp)
@@ -664,8 +664,9 @@ _CHECKERS = {
 }
 
 
-def check_node(node, interp, domain=None):
-    """Verdict for one node given its premises' conclusions."""
+def check_node(node, interp, domain=None, memo=None):
+    """Verdict for one node given its premises' conclusions.  `memo` is an
+    evaluation memo (see `assertions`) shared by the nodes of one script."""
     checker = _CHECKERS.get(node.rule)
     if checker is None:
         return _reject("unknown rule %r" % node.rule)
@@ -682,23 +683,24 @@ def check_node(node, interp, domain=None):
     if domain is None:
         domain = _domain_for(node, interp)
     try:
-        return checker(node, interp, domain)
+        return checker(node, interp, domain, memo)
     except (cl.EvalError, la.LayoutError, ValueError) as e:
         return _reject("error while checking: %s" % e)
 
 
+def _post_order(node, path=()):
+    """(path, node) for every node of a proof tree, premises first."""
+    for i, p in enumerate(node.premises):
+        yield from _post_order(p, path + (i,))
+    yield ".".join(str(i) for i in path) or "root", node
+
+
 def check_script(root, interp, domain=None):
-    """Bottom-up check of a whole proof tree."""
-    nodes = []
-
-    def walk(node, path):
-        for i, p in enumerate(node.premises):
-            walk(p, path + [i])
-        v = check_node(node, interp, domain)
-        nodes.append((".".join(str(i) for i in path) or "root", node.rule, v))
-
-    walk(root, [])
-    return CheckReport(nodes)
+    """Bottom-up check of a whole proof tree.  Formal states are evaluated
+    at most once per classical state across the whole script."""
+    memo = {}
+    return CheckReport([(path, node.rule, check_node(node, interp, domain, memo))
+                        for path, node in _post_order(root)])
 
 
 # ---------------------------------------------------------------------------
@@ -714,11 +716,12 @@ def triple_to_json(t):
     }
 
 
-def triple_from_json(d, measurements=None):
+def triple_from_json(d, measurements=None, parsed=None):
+    """`parsed` is a `qs.parse_once` cache shared by one document."""
     return HoareTriple(
-        asrt.assertion_from_json(d["pre"]),
-        qs.parse_program(d["program"], measurements=measurements),
-        asrt.assertion_from_json(d["post"]),
+        asrt.assertion_from_json(d["pre"], parsed),
+        qs.parse_once(parsed, qs.parse_program, d["program"], measurements),
+        asrt.assertion_from_json(d["post"], parsed),
         d.get("mode", "partial"),
     )
 
@@ -753,9 +756,16 @@ def node_to_json(n):
 
 
 def node_from_json(d, measurements=None):
+    """Each distinct formula, program and state text of the document is
+    parsed once; nodes that repeat a text share its tree."""
+    return _node_from_json(d, measurements, {})
+
+
+def _node_from_json(d, measurements, parsed):
     return ProofNode(
         d["rule"],
-        triple_from_json(d["conclusion"], measurements),
-        tuple(node_from_json(p, measurements) for p in d.get("premises", [])),
+        triple_from_json(d["conclusion"], measurements, parsed),
+        tuple(_node_from_json(p, measurements, parsed)
+              for p in d.get("premises", [])),
         _witness_from_json(d.get("witnesses")),
     )

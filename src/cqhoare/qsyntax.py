@@ -113,6 +113,21 @@ def seq_all(cmds):
     return out
 
 
+def seq_parts(p):
+    """The non-sequence commands of `p` in program order.  Walks nested
+    `Seq` nodes with an explicit stack, so a long sequence cannot exhaust
+    the interpreter's recursion limit."""
+    out, stack = [], [p]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Seq):
+            stack.append(c.second)
+            stack.append(c.first)
+        else:
+            out.append(c)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -510,6 +525,19 @@ def parse_expr(src):
 parse_formula = parse_expr
 
 
+def parse_once(cache, parse, text, *args):
+    """parse(text, *args), reusing the tree already made from the same text
+    with the same `parse` when `cache`, a dict the caller keeps for one
+    document, holds one.  `args` must not vary within a cache."""
+    if cache is None:
+        return parse(text, *args)
+    key = (parse, text)
+    tree = cache.get(key)
+    if tree is None:
+        tree = cache[key] = parse(text, *args)
+    return tree
+
+
 # ---------------------------------------------------------------------------
 # Pretty printing
 
@@ -578,7 +606,7 @@ def pretty(p):
     if isinstance(p, Measure):
         return "%s := %s[%s]" % (p.var, p.meas, ", ".join(format_qvar(q) for q in p.targets))
     if isinstance(p, Seq):
-        return "%s; %s" % (pretty(p.first), pretty(p.second))
+        return "; ".join(pretty(c) for c in seq_parts(p))
     if isinstance(p, If):
         return "if %s then %s else %s fi" % (
             format_expr(p.cond), pretty(p.then), pretty(p.orelse))
@@ -647,8 +675,8 @@ def quantum_vars(p):
             for q in p.targets:
                 add(q)
         elif isinstance(p, Seq):
-            walk(p.first)
-            walk(p.second)
+            for c in seq_parts(p):
+                walk(c)
         elif isinstance(p, If):
             walk(p.then)
             walk(p.orelse)
@@ -687,7 +715,9 @@ def classical_vars(p):
             out |= _qvar_free(q)
         return out
     if isinstance(p, Seq):
-        return classical_vars(p.first) | classical_vars(p.second)
+        for c in seq_parts(p):
+            out |= classical_vars(c)
+        return out
     if isinstance(p, If):
         return cl.free_vars(p.cond) | classical_vars(p.then) | classical_vars(p.orelse)
     if isinstance(p, While):
@@ -702,7 +732,7 @@ def modified_vars(p):
     if isinstance(p, Measure):
         return {p.var}
     if isinstance(p, Seq):
-        return modified_vars(p.first) | modified_vars(p.second)
+        return set().union(*(modified_vars(c) for c in seq_parts(p)))
     if isinstance(p, If):
         return modified_vars(p.then) | modified_vars(p.orelse)
     if isinstance(p, While):

@@ -248,3 +248,111 @@ def test_assertion_json_roundtrip():
     b = asrt.assertion_from_json(asrt.assertion_to_json(a))
     assert cl.formula_equal(a.phi, b.phi)
     assert asrt.pred_equal(a.a, b.a)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation memo
+
+
+def _and_ket(lit):
+    """|x < 2 and lit>_q1: equal as dataclasses for Lit(1) and Lit(True)."""
+    value = cl.BinOp("and", cl.BinOp("<", cl.Var("x"), cl.Lit(2)), lit)
+    return StateProj(asrt.Ket(value, QVar("q1")))
+
+
+def _counting_eval(monkeypatch):
+    calls = []
+    real = asrt.eval_predicate
+
+    def counted(sigma, a, interp, memo=None):
+        calls.append(a)
+        return real(sigma, a, interp, memo)
+
+    monkeypatch.setattr(asrt, "eval_predicate", counted)
+    return calls
+
+
+def test_reflexive_entailment_evaluates_one_side(monkeypatch):
+    interp = interp2()
+    dom = Domain({"x": cl.IntType(0, 3)})
+    a = _and_ket(cl.Lit(1))
+    calls = _counting_eval(monkeypatch)
+    plain = asrt.entails(cl.TRUE, a, a, dom, interp)
+    assert len(calls) == 8
+    del calls[:]
+    memoized = asrt.entails(cl.TRUE, a, a, dom, interp, {})
+    assert len(calls) == 4
+    assert (plain.status, plain.reason) == (memoized.status, memoized.reason)
+    assert memoized.reason == "4 states checked"
+
+
+def test_memo_tells_literal_types_apart(monkeypatch):
+    interp = interp2()
+    dom = Domain({"x": cl.IntType(0, 3)})
+    one, true = _and_ket(cl.Lit(1)), _and_ket(cl.Lit(True))
+    assert one == true  # dataclass equality merges them
+    calls = _counting_eval(monkeypatch)
+    memo = {}
+    v = asrt.entails(cl.TRUE, one, true, dom, interp, memo)
+    assert v.holds and v.reason == "4 states checked"
+    assert len(calls) == 8  # not reflexive: both sides at every sigma
+    t1 = asrt._intern(memo, one.state)[1]
+    t2 = asrt._intern(memo, true.state)[1]
+    assert t1 != t2
+    tokens = {k[0] for k in memo if isinstance(k, tuple) and isinstance(k[0], int)}
+    assert {t1, t2} <= tokens
+
+
+def test_memo_shares_entries_between_equal_trees():
+    interp = interp2()
+    memo = {}
+    s1 = asrt.parse_state("(1/sqrt(2)) * (|0>_q1) + (1/sqrt(2)) * (|1>_q1)")
+    s2 = asrt.parse_state("(1/sqrt(2)) * (|0>_q1) + (1/sqrt(2)) * (|1>_q1)")
+    assert s1 is not s2
+    v1, l1 = asrt.eval_state(SIGMA, s1, interp, memo=memo)
+    v2, l2 = asrt.eval_state(SIGMA, s2, interp, memo=memo)
+    assert v1 is v2 and l1 == l2
+    assert not v1.flags.writeable
+    ref, _ = asrt.eval_state(SIGMA, s1, interp)
+    assert np.array_equal(ref, v1)
+
+
+def test_memo_keeps_not_well_defined_but_not_errors():
+    interp = interp2()
+    memo = {}
+    overlap = asrt.parse_state("|0>_q1 |1>_q1")
+    for _ in range(2):
+        with pytest.raises(asrt.NotWellDefined, match="overlapping"):
+            asrt.eval_state(SIGMA, overlap, interp, memo=memo)
+    undeclared = asrt.Ket(cl.Lit(0), QVar("nowhere"))
+    for _ in range(2):
+        with pytest.raises(st.ResolutionError):
+            asrt.eval_state(SIGMA, undeclared, interp, memo=memo)
+    stored = {k: v for k, v in memo.items()
+              if isinstance(k, tuple) and isinstance(k[0], int)}
+    reasons = [v for v in stored.values() if isinstance(v, str)]
+    assert reasons == ["overlapping signatures in tensor"]
+    token = asrt._intern(memo, undeclared)[1]
+    assert all(k[0] != token for k in stored)
+
+
+# `values()` of this type would be a million-element list
+_HUGE = cl.IntType(0, 10 ** 6)
+
+
+def test_oversized_domain_is_inconclusive_without_listing_values(monkeypatch):
+    real = cl.IntType.values
+
+    def values(self):
+        assert self != _HUGE, "values() of the oversized type was built"
+        return real(self)
+
+    monkeypatch.setattr(cl.IntType, "values", values)
+    interp = interp2()
+    interp.declare_classical("w", _HUGE)
+    dom, missing = Domain.from_interp(interp, {"w", "x"})
+    assert missing == [] and dom.typing["w"] == _HUGE
+    assert cl.domain_size(dom.typing, {"w", "x"}) == 4 * (10 ** 6 + 1)
+    p0 = Atomic("P0", (), (QVar("q1"),))
+    v = asrt.entails(cl.BinOp("=", cl.Var("w"), cl.Var("x")), p0, p0, dom, interp)
+    assert v.status == "inconclusive" and "exceeds cap" in v.reason

@@ -96,6 +96,15 @@ def test_iter_states_and_domain_size():
     assert cl.domain_size({"r": cl.RealType()}, {"r"}) is None
 
 
+def test_type_sizes_match_their_values():
+    for t in (cl.BoolType(), cl.IntType(0, 2), cl.IntType(3, 2),
+              cl.EnumType("e", ("a", "b", "c")), cl.BitArrayType(1, 3)):
+        assert t.size() == len(t.values()), t
+    for t in (cl.RealType(), cl.ComplexType()):
+        assert t.size() is None and t.values() is None
+    assert cl.BitArrayType(1, 3).width() == 3
+
+
 def test_subst_basic():
     e = parse_expr("x + y")
     got = cl.subst(e, parse_expr("2 * y"), "x")

@@ -106,9 +106,19 @@ def test_usage_errors_exit_3(capsys, files):
 
 
 def test_deep_program_exits_3_without_traceback(capsys):
-    assert cli.main(["parse", "; ".join(["skip"] * 2000)]) == 3
+    # 2,000 nested conditionals: the recursive-descent parser cannot go deeper
+    src = "skip"
+    for _ in range(2000):
+        src = "if true then %s else skip fi" % src
+    assert cli.main(["parse", src]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_long_sequence_parses_and_prints(capsys):
+    code, doc, _ = run_cli(capsys, "parse", "; ".join(["skip"] * 2000))
+    assert code == 0
+    assert doc["program"] == "; ".join(["skip"] * 2000)
 
 
 def test_fuzz_subcommand(capsys, tmp_path):

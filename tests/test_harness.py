@@ -121,3 +121,13 @@ def test_fuzz_margin_reads_the_tolerance():
     assert hz.fuzz_triple(t, interp, cfg).verdict == "inconsistent"
     interp.tolerances = la.Tolerances(fuzz=2.0)
     assert hz.fuzz_triple(t, interp, cfg).verdict == "consistent"
+
+
+def test_fuzz_gives_a_verdict_on_a_long_sequence():
+    interp = interp1()
+    a = Atomic("P0", (), (QVar("q"),))
+    prog = qs.seq_all([qs.Skip()] * 2000)
+    t = pv.HoareTriple(CqAssertion(cl.TRUE, a), prog, CqAssertion(cl.TRUE, a))
+    report = hz.fuzz_triple(t, interp, hz.RunConfig(samples=2))
+    assert report.verdict == "consistent"
+    assert report.to_json()["triple"]["program"] == "; ".join(["skip"] * 2000)

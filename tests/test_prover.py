@@ -9,6 +9,7 @@ from cqhoare import structures as st
 from cqhoare import assertions as asrt
 from cqhoare import prover as pv
 from cqhoare import harness as hz
+from cqhoare import qft
 from cqhoare.assertions import Atomic, StateProj, Kraus, CqAssertion
 from cqhoare.qsyntax import QVar
 
@@ -303,3 +304,36 @@ def test_script_json_roundtrip(corpus):
         back = pv.node_from_json(doc, measurements=set(interp.measurements))
         assert (pv.check_script(back, interp).status
                 == pv.check_script(script, interp).status), name
+
+
+def test_reflexive_conseq_with_ill_formed_predicate_is_rejected(corpus):
+    interp, _, _ = corpus
+    bad = CqAssertion(cl.TRUE, StateProj(asrt.Ket(cl.Lit(0), QVar("nowhere"))))
+    skip = pv.ProofNode("Skip", pv.HoareTriple(bad, qs.Skip(), bad))
+    node = pv.ProofNode("Conseq", pv.HoareTriple(bad, qs.Skip(), bad), (skip,))
+    report = pv.check_script(node, interp)
+    path, rule, v = report.nodes[-1]
+    assert (path, rule, v.status) == ("root", "Conseq", "rejected")
+    assert v.reason.startswith("error while checking")
+
+
+def _scripts():
+    for n in (1, 2, 3, 4):
+        interp = qft.qft_interpretation(n)
+        yield interp, qft.generate_qft(n)[1]
+        yield interp, qft.perturbed_qft_script(n)[1]
+    interp, accepted, mutants = hz.build_corpus()
+    for root in list(accepted.values()) + list(mutants.values()):
+        yield interp, root
+
+
+def test_check_node_without_memo_agrees_with_check_script():
+    for interp, root in _scripts():
+        report = pv.check_script(root, interp)
+        alone = [(path, node.rule, pv.check_node(node, interp))
+                 for path, node in pv._post_order(root)]
+        assert len(alone) == len(report.nodes)
+        for (p1, r1, v1), (p2, r2, v2) in zip(report.nodes, alone):
+            assert (p1, r1) == (p2, r2)
+            assert (v1.status, v1.reason, v1.side_conditions) == \
+                (v2.status, v2.reason, v2.side_conditions), (p1, r1)

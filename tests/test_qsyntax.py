@@ -99,3 +99,16 @@ def test_expr_precedence_text():
 def test_comments_and_whitespace():
     p = qs.parse_program("skip; # trailing comment\n  skip")
     assert isinstance(p, qs.Seq)
+
+
+def test_long_sequences_need_no_recursion():
+    p = qs.seq_all([qs.Skip()] * 1999 + [qs.Assign("x", cl.Var("y"))])
+    assert qs.pretty(p) == "skip; " * 1999 + "x := y"
+    assert qs.classical_vars(p) == {"x", "y"}
+    assert qs.modified_vars(p) == {"x"}
+    assert qs.quantum_vars(p) == {}
+    left = qs.Skip()
+    for _ in range(1999):
+        left = qs.Seq(left, qs.Skip())
+    assert qs.seq_parts(left) == [qs.Skip()] * 2000
+    assert qs.pretty(left) == "; ".join(["skip"] * 2000)
