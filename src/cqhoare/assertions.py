@@ -534,6 +534,11 @@ def pred_equal(a, b):
     return normalize_pred(a) == normalize_pred(b)
 
 
+def targets_equal(ts, us):
+    """Syntactic match of two target lists; subscript literal types count."""
+    return [_norm_qvar(q) for q in ts] == [_norm_qvar(q) for q in us]
+
+
 # ---------------------------------------------------------------------------
 # Entailment
 

@@ -24,7 +24,8 @@ class EvalError(ValueError):
 
 # Every type has `size()`, the number of its values or None when it is not
 # enumerable, and `values()`, the list of them or None; test enumerability and
-# size with `size()`, which builds nothing.
+# size with `size()`, which builds nothing.  An enumerable type also has
+# `value(i)`, the i-th element of `values()`, built alone.
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,9 @@ class BoolType:
 
     def values(self):
         return [False, True]
+
+    def value(self, i):
+        return (False, True)[i]
 
     def contains(self, v):
         return isinstance(v, bool)
@@ -53,6 +57,9 @@ class IntType:
     def values(self):
         return list(range(self.lo, self.hi + 1))
 
+    def value(self, i):
+        return self.lo + i
+
     def contains(self, v):
         return isinstance(v, int) and not isinstance(v, bool) and self.lo <= v <= self.hi
 
@@ -70,6 +77,9 @@ class EnumType:
 
     def values(self):
         return list(self.labels)
+
+    def value(self, i):
+        return self.labels[i]
 
     def contains(self, v):
         return v in self.labels
@@ -152,6 +162,10 @@ class BitArrayType:
             Bits(self.lo, bits)
             for bits in itertools.product((0, 1), repeat=self.width())
         ]
+
+    def value(self, i):
+        w = self.width()
+        return Bits(self.lo, tuple((i >> (w - 1 - k)) & 1 for k in range(w)))
 
     def contains(self, v):
         return (
@@ -602,12 +616,22 @@ def _flatten(op, e, out):
         out.append(e)
 
 
+@dataclass(frozen=True)
+class _TypedLit:
+    """A literal in normal form: its Python type is part of it, so that
+    1, 1.0 and true, which are equal as Python values, do not match."""
+
+    kind: type
+    value: object
+
+
 def normalize(expr, bound=None):
     """Canonical form: and/or flattened right-associatively, bound variables
-    renamed positionally.  Used for structural formula equality."""
+    renamed positionally, literals tagged with their type.  Used for
+    structural formula equality."""
     bound = bound or {}
     if isinstance(expr, Lit):
-        return expr
+        return _TypedLit(type(expr.value), expr.value)
     if isinstance(expr, Var):
         return Var(bound.get(expr.name, expr.name))
     if isinstance(expr, BinOp):

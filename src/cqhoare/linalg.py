@@ -130,10 +130,13 @@ def _target_axes(targets, layout):
 
 def apply_left(op, a, targets, layout):
     """op @ a, with `op` acting on the `targets` factors (in that order) of
-    the row index of `a`, a vector or matrix with layout.dim rows.
+    the row index of `a`: a vector or a matrix with layout.dim rows, or a
+    stack of such matrices with shape (B, layout.dim, m).
 
     The target axes are moved to the front for one matmul and moved back,
-    so no operator on the whole layout is ever built.
+    so no operator on the whole layout is ever built.  A stack is one
+    stacked matmul, which gives each member the same product, of the same
+    shape, that it gets alone.
     """
     axes = _target_axes(targets, layout)
     dims = layout.dims()
@@ -143,18 +146,22 @@ def apply_left(op, a, targets, layout):
             "operator shape %s does not match target dimension %d"
             % (op.shape, tdim)
         )
-    n = len(dims)
-    perm = axes + [i for i in range(n) if i not in axes]
-    cols = list(range(n, a.ndim - 1 + n))
-    t = a.reshape(dims + a.shape[1:]).transpose(perm + cols)
-    out = (op @ t.reshape(tdim, -1)).reshape(t.shape)
-    return out.transpose([perm.index(i) for i in range(n)] + cols).reshape(a.shape)
+    lead = a.shape[:1] if a.ndim == 3 else ()
+    b, n = len(lead), len(dims)
+    perm = list(range(b)) + [b + i for i in axes] + \
+        [b + i for i in range(n) if i not in axes]
+    cols = list(range(b + n, a.ndim - 1 + n))
+    t = a.reshape(lead + dims + a.shape[b + 1:]).transpose(perm + cols)
+    out = (op @ t.reshape(lead + (tdim, -1))).reshape(t.shape)
+    back = [perm.index(i) for i in range(b + n)]
+    return out.transpose(back + cols).reshape(a.shape)
 
 
 def conjugate(op, a, targets, layout):
-    """E a E^dagger for E = `op` on `targets`: two kernel calls."""
-    half = apply_left(op, a, targets, layout).conj().T
-    return apply_left(op, half, targets, layout).conj().T
+    """E a E^dagger for E = `op` on `targets`, for a matrix or a stack of
+    matrices: two kernel calls."""
+    half = apply_left(op, a, targets, layout).conj().swapaxes(-1, -2)
+    return apply_left(op, half, targets, layout).conj().swapaxes(-1, -2)
 
 
 def embed(op, targets, layout):
@@ -203,14 +210,19 @@ def is_effect(k, eps=1e-9):
 
 
 def trace_product(a, rho):
-    """Re tr(a @ rho); the imaginary part must be numerical noise."""
-    val = np.trace(a @ rho)
-    return float(val.real)
+    """Re tr(a @ rho), the imaginary part being numerical noise; for a
+    stack of matrices rho, the array of member values."""
+    val = np.trace(a @ rho, axis1=-2, axis2=-1).real
+    return float(val) if rho.ndim == 2 else val
 
 
 @dataclass
 class DensityOperator:
-    """Partial density operator: PSD with trace <= 1 (up to tolerance)."""
+    """Partial density operator: PSD with trace <= 1 (up to tolerance).
+
+    `mat` is one D x D matrix or a stack of B of them, shape (B, D, D);
+    `apply` and `trace` act on every member of a stack, and `validate`
+    takes a single matrix."""
 
     layout: RegisterLayout
     mat: np.ndarray
@@ -218,7 +230,7 @@ class DensityOperator:
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
         d = self.layout.dim
-        if self.mat.shape != (d, d):
+        if self.mat.ndim not in (2, 3) or self.mat.shape[-2:] != (d, d):
             raise LayoutError(
                 "matrix shape %s does not match layout dimension %d"
                 % (self.mat.shape, d)
@@ -234,7 +246,9 @@ class DensityOperator:
         return self
 
     def trace(self):
-        return float(np.trace(self.mat).real)
+        """tr(rho); for a stack, the array of member traces."""
+        t = np.trace(self.mat, axis1=-2, axis2=-1).real
+        return float(t) if self.mat.ndim == 2 else t
 
     def apply(self, op, targets):
         """Conjugate by an operator on the given targets: E rho E^dagger."""

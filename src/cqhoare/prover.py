@@ -470,6 +470,12 @@ def _accum_common(node, interp):
     return sym, None
 
 
+def _same_params(xs, ys):
+    """Syntactic match of two parameter lists; literal types count."""
+    return len(xs) == len(ys) and all(
+        cl.formula_equal(a, b) for a, b in zip(xs, ys))
+
+
 def _eval_const_params(params):
     empty = cl.ClassicalState()
     out = []
@@ -488,11 +494,9 @@ def _check_accum1(node, interp, domain, memo):
     fp = interp.kraus_symbol(t.post.a.name)
     if fp.rank != 1 or len(t.post.a.branches) != 1:
         return _reject("postcondition symbol must have rank 1")
-    if tuple(t.post.a.params) != tuple(t.pre.a.params) and not all(
-            cl.normalize(a) == cl.normalize(b)
-            for a, b in zip(t.post.a.params, t.pre.a.params)):
+    if not _same_params(t.post.a.params, t.pre.a.params):
         return _reject("pre and post symbol parameters must match")
-    if t.post.a.targets != t.pre.a.targets:
+    if not asrt.targets_equal(t.post.a.targets, t.pre.a.targets):
         return _reject("pre and post symbol targets must match")
     b = node.premises[0].conclusion.post.a
     for p in node.premises[1:]:
@@ -538,10 +542,10 @@ def _check_accum2(node, interp, domain, memo):
         return err
     if not isinstance(t.post.a, Kraus) or t.post.a.name != t.pre.a.name:
         return _reject("conclusion must apply the same symbol on both sides")
-    if t.post.a.targets != t.pre.a.targets or len(t.post.a.branches) != sym.rank:
+    if not asrt.targets_equal(t.post.a.targets, t.pre.a.targets) or \
+            len(t.post.a.branches) != sym.rank:
         return _reject("postcondition symbol application malformed")
-    if not all(cl.normalize(a) == cl.normalize(b)
-               for a, b in zip(t.post.a.params, t.pre.a.params)):
+    if not _same_params(t.post.a.params, t.pre.a.params):
         return _reject("pre and post symbol parameters must match")
     psi = node.premises[0].conclusion.post.phi
     for p in node.premises[1:]:

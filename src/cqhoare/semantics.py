@@ -45,6 +45,10 @@ class Configuration:
 
 @dataclass
 class OutcomeMultiset:
+    """Terminated items, unfinished configurations, and the blocked,
+    pruned and input mass; after a stacked run, each mass is an array
+    with one entry per member."""
+
     items: list
     residual: list  # of Configuration
     blocked_trace: float = 0.0
@@ -154,9 +158,29 @@ def step(config, interp):
 
 
 def run(program, state, fuel, interp, branch_cap=BRANCH_CAP, prune=None):
-    """Breadth-first closure of step with a loop-unrolling budget."""
+    """Breadth-first closure of step with a loop-unrolling budget.
+
+    `state.rho` is one density operator or a stack of B of them sharing
+    the classical state.  Control flow and measurement branching depend
+    only on sigma and the outcomes, so a stack's members take one branch
+    tree and are run together; one operator is run as a stack of one.
+    For a stack, the items and residual hold stacks and the traces are
+    arrays of member traces.
+
+    Pruning is per member: a member whose trace in a branch falls below
+    `prune` is counted once into its own pruned mass and zeroed there,
+    and the branch goes on while another member is above `prune`.
+    Blocked and residual mass are per member too.  `branch_cap` counts
+    the batch's branches, which are the union of its members' trees.
+    """
     prune = interp.tolerances.prune if prune is None else prune
-    out = OutcomeMultiset([], [], input_trace=state.trace())
+    layout, mat = state.rho.layout, state.rho.mat
+    single = mat.ndim == 2
+    state = CqState(state.sigma,
+                    DensityOperator(layout, mat[None] if single else mat))
+    b = state.rho.mat.shape[0]
+    out = OutcomeMultiset([], [], blocked_trace=np.zeros(b),
+                          pruned_trace=np.zeros(b), input_trace=state.trace())
     queue = [(program, state, fuel)]
     while queue:
         if len(queue) + len(out.items) > branch_cap:
@@ -164,9 +188,14 @@ def run(program, state, fuel, interp, branch_cap=BRANCH_CAP, prune=None):
         nxt = []
         for prog, st, f in queue:
             tr = st.trace()
-            if tr < prune:
-                out.pruned_trace += max(tr, 0.0)
-                continue
+            low = tr < prune
+            if low.any():
+                out.pruned_trace += np.where(low, np.maximum(tr, 0.0), 0.0)
+                if low.all():
+                    continue
+                st = CqState(st.sigma, DensityOperator(
+                    layout, np.where(low[:, None, None], 0, st.rho.mat)))
+                tr = np.where(low, 0.0, tr)
             if prog is None:
                 out.items.append(st)
                 continue
@@ -183,7 +212,19 @@ def run(program, state, fuel, interp, branch_cap=BRANCH_CAP, prune=None):
                 else:
                     nxt.append((t.program, t.state, f))
         queue = nxt
-    return out
+    return _unstack(out) if single else out
+
+
+def _unstack(out):
+    """The outcome of a stack of one, with single operators and floats."""
+    def one(s):
+        return CqState(s.sigma, DensityOperator(s.rho.layout, s.rho.mat[0]))
+    return OutcomeMultiset(
+        [one(s) for s in out.items],
+        [Configuration(c.program, one(c.state)) for c in out.residual],
+        blocked_trace=float(out.blocked_trace[0]),
+        pruned_trace=float(out.pruned_trace[0]),
+        input_trace=float(out.input_trace[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +233,35 @@ def run(program, state, fuel, interp, branch_cap=BRANCH_CAP, prune=None):
 
 
 def _seq_residual(cfg, second):
+    if second is None:
+        return cfg
     prog = second if cfg.program is None else qs.Seq(cfg.program, second)
     return Configuration(prog, cfg.state)
+
+
+def _ssem_seq(program, state, fuel, interp, prune):
+    """A sequence, part by part in `qs.seq_parts` order, depth first with
+    an explicit stack, so that a long sequence does not recurse."""
+    parts = qs.seq_parts(program)
+    rests = None  # rests[i]: the program left after parts[i], or None
+    items, residual, blocked, pruned = [], [], 0.0, 0.0
+    stack = [(0, state, fuel)]
+    while stack:
+        i, st, f = stack.pop()
+        if i == len(parts):
+            items.append((st, f))
+            continue
+        i1, r1, b1, p1 = _ssem(parts[i], st, f, interp, prune)
+        if r1 and rests is None:
+            rests = [None]
+            for c in reversed(parts[1:]):
+                rests.append(c if rests[-1] is None else qs.Seq(c, rests[-1]))
+            rests.reverse()
+        residual.extend(_seq_residual(c, rests[i]) for c in r1)
+        blocked += b1
+        pruned += p1
+        stack.extend((i + 1, s, g) for s, g in reversed(i1))
+    return items, residual, blocked, pruned
 
 
 def _ssem(program, state, fuel, interp, prune):
@@ -203,16 +271,7 @@ def _ssem(program, state, fuel, interp, prune):
     if tr < prune:
         return [], [], 0.0, max(tr, 0.0)
     if isinstance(program, qs.Seq):
-        i1, r1, b1, p1 = _ssem(program.first, state, fuel, interp, prune)
-        items, residual = [], [_seq_residual(c, program.second) for c in r1]
-        blocked, pruned = b1, p1
-        for st, f in i1:
-            i2, r2, b2, p2 = _ssem(program.second, st, f, interp, prune)
-            items.extend(i2)
-            residual.extend(r2)
-            blocked += b2
-            pruned += p2
-        return items, residual, blocked, pruned
+        return _ssem_seq(program, state, fuel, interp, prune)
     if isinstance(program, qs.If):
         branch = program.then if cl.satisfies(sigma, program.cond) else program.orelse
         return _ssem(branch, state, fuel, interp, prune)

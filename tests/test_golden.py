@@ -2,9 +2,10 @@
 
 `golden.json` holds `check_script(...).to_json()` for the QFT scripts and
 their perturbed forms at n = 1..4 and for every corpus script and mutant,
-and `fuzz_triple(...).to_json()` for every corpus conclusion at a fixed
-seed.  A change that alters any verdict, reason, record or float shows up
-here as a differing report.  Regenerate the fixture only when a change of
+and `fuzz_triple(...).to_json()` for every corpus conclusion and for the
+QFT conclusions, accepted and perturbed, at n = 1..3, at a fixed seed.
+A change that alters any verdict, reason, record or float shows up here
+as a differing report.  Regenerate the fixture only when a change of
 output is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,6 +23,7 @@ from cqhoare import qft
 FIXTURE = Path(__file__).with_name("golden.json")
 FUZZ_CONFIG = dict(samples=6, seed=11)
 QFT_NS = (1, 2, 3, 4)
+QFT_FUZZ_NS = (1, 2, 3)
 
 
 def _dump(doc):
@@ -45,6 +47,13 @@ def golden_reports():
         cfg = hz.RunConfig(**FUZZ_CONFIG)
         out["fuzz corpus %s" % name] = hz.fuzz_triple(
             root.conclusion, interp, cfg).to_json()
+    for n in QFT_FUZZ_NS:
+        interp = qft.qft_interpretation(n)
+        for which, script in (("qft", qft.generate_qft(n)[1]),
+                              ("qft-perturbed", qft.perturbed_qft_script(n)[1])):
+            cfg = hz.RunConfig(**FUZZ_CONFIG)
+            out["fuzz %s n=%d" % (which, n)] = hz.fuzz_triple(
+                script.conclusion, interp, cfg).to_json()
     return out
 
 

@@ -9,6 +9,8 @@ from cqhoare import structures as st
 from cqhoare import assertions as asrt
 from cqhoare import prover as pv
 from cqhoare import harness as hz
+from cqhoare import qft
+from cqhoare import semantics as sem
 from cqhoare.assertions import Atomic, CqAssertion
 from cqhoare.qsyntax import QVar
 
@@ -131,3 +133,139 @@ def test_fuzz_gives_a_verdict_on_a_long_sequence():
     report = hz.fuzz_triple(t, interp, hz.RunConfig(samples=2))
     assert report.verdict == "consistent"
     assert report.to_json()["triple"]["program"] == "; ".join(["skip"] * 2000)
+
+
+# ---------------------------------------------------------------------------
+# Batched fuzzing: one run per classical state over the stacked inputs
+
+
+def _records_input_by_input(triple, interp, cfg):
+    """The records of `fuzz_triple`, rebuilt with one unstacked `run` and
+    `trace_product` per input (enumerable domains only)."""
+    rng = np.random.default_rng(cfg.seed)
+    names = hz._triple_names(triple)
+    domain, missing = asrt.Domain.from_interp(interp, names)
+    assert not missing
+    layout = interp.make_layout(interp.all_systems())
+    records, inputs = [], None
+    for sigma in domain.states(names):
+        if not cl.satisfies(sigma, triple.pre.phi):
+            continue
+        a_op = hz._embedded(sigma, triple.pre.a, layout, interp)
+        if a_op is None:
+            continue
+        if inputs is None:
+            inputs = hz._input_rhos(rng, layout.dim, cfg.samples)
+        for kind, mat in zip(*inputs):
+            rho = la.DensityOperator(layout, mat)
+            lhs = la.trace_product(a_op, rho.mat)
+            out = sem.run(triple.program, sem.CqState(sigma, rho), cfg.fuel,
+                          interp, branch_cap=cfg.branch_cap)
+            rhs = 0.0
+            for item in out.items:
+                if not cl.satisfies(item.sigma, triple.post.phi):
+                    continue
+                b_op = hz._embedded(item.sigma, triple.post.a, layout, interp)
+                if b_op is not None:
+                    rhs += la.trace_product(b_op, item.rho.mat)
+            nt, status = 0.0, "checked"
+            if triple.mode == "partial":
+                nt = max(rho.trace() - out.items_trace() - out.pruned_trace, 0.0)
+            elif out.residual_trace() > 1e-9:
+                status = "inconclusive-input"
+            records.append(hz.FuzzRecord(sigma, kind, lhs, rhs, nt,
+                                         rhs + nt - lhs, status))
+    return records
+
+
+def _raw(records):
+    # repr keeps the sign of a zero, which == does not
+    return [(r.sigma.key(), r.rho_kind, repr(r.lhs), repr(r.rhs), repr(r.nt),
+             repr(r.margin), r.status) for r in records]
+
+
+def _batched_cases():
+    interp, accepted, mutants = hz.build_corpus()
+    cfg = hz.RunConfig(fuel=8, samples=6, seed=4)
+    for name, root in sorted(accepted.items()) + sorted(mutants.items()):
+        yield "corpus %s" % name, root.conclusion, interp, cfg
+    for n in (1, 2, 3):
+        qinterp = qft.qft_interpretation(n)
+        cfg = hz.RunConfig(fuel=4, samples=4, seed=n)
+        yield "qft n=%d" % n, qft.generate_qft(n)[1].conclusion, qinterp, cfg
+        yield ("qft-perturbed n=%d" % n, qft.perturbed_qft_script(n)[1].conclusion,
+               qinterp, cfg)
+
+
+def test_batched_records_equal_input_by_input_records():
+    for name, triple, interp, cfg in _batched_cases():
+        report = hz.fuzz_triple(triple, interp, cfg)
+        rebuilt = _records_input_by_input(triple, interp, cfg)
+        assert report.records, name
+        assert _raw(report.records) == _raw(rebuilt), name
+
+
+def test_chunked_stack_gives_the_same_records(monkeypatch):
+    cases = list(_batched_cases())
+    whole = [hz.fuzz_triple(t, i, c).to_json() for _, t, i, c in cases]
+    # chunks of three 4x4 inputs, and a bound below one input
+    for bound in (3 * 16 * 16, 1):
+        monkeypatch.setattr(hz, "FUZZ_STACK_BYTES", bound)
+        for (name, t, i, c), doc in zip(cases, whole):
+            assert hz.fuzz_triple(t, i, c).to_json() == doc, (name, bound)
+
+
+def test_one_run_per_classical_state(monkeypatch):
+    interp, accepted, _ = hz.build_corpus()
+    runs = []
+    real = sem.run
+
+    def counted(program, state, *args, **kwargs):
+        runs.append(state.rho.mat.shape)
+        return real(program, state, *args, **kwargs)
+
+    monkeypatch.setattr(sem, "run", counted)
+    report = hz.fuzz_triple(accepted["measure"].conclusion, interp,
+                            hz.RunConfig(samples=48, seed=0))
+    sigmas = {r.sigma.key() for r in report.records}
+    assert len(runs) == len(sigmas) == 4
+    assert set(runs) == {(100, 4, 4)}
+
+
+# ---------------------------------------------------------------------------
+# Sampled classical states
+
+
+def _big_domain_interp(monkeypatch):
+    interp = interp1()
+    interp.declare_classical("w", cl.IntType(0, 1000000))
+
+    def no_list(self):
+        raise AssertionError("values() listed for sampling")
+
+    monkeypatch.setattr(cl.IntType, "values", no_list)
+    return interp
+
+
+def test_sampled_fuzz_never_lists_values(monkeypatch):
+    interp = _big_domain_interp(monkeypatch)
+    a = Atomic("ID1", (), (QVar("q"),))
+    phi = cl.BinOp("<=", cl.Var("w"), cl.Lit(1000000))
+    t = pv.HoareTriple(CqAssertion(phi, a), qs.Skip(), CqAssertion(phi, a))
+    report = hz.fuzz_triple(t, interp, hz.RunConfig(samples=20, seed=3))
+    assert report.sigma_sampled and report.verdict == "consistent"
+    assert len({r.sigma.key() for r in report.records}) > 1
+
+
+def test_sampled_draws_match_the_value_lists():
+    typing = {"b": cl.BoolType(), "i": cl.IntType(-3, 40),
+              "e": cl.EnumType("E", ("u", "v", "w")),
+              "a": cl.BitArrayType(2, 6)}
+    names = set(typing)
+    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(50):
+        want = {}
+        for n in sorted(names):
+            vals = typing[n].values()
+            want[n] = vals[int(rng2.integers(len(vals)))]
+        assert hz._sample_sigma(rng1, typing, names) == cl.ClassicalState(want)

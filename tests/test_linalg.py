@@ -129,3 +129,30 @@ def test_apply_left_matches_dense_reference():
         assert np.max(np.abs(la.apply_left(op, m, targets, lay) - ref @ m)) < 1e-12
         got = la.DensityOperator(lay, rho).apply(op, targets).mat
         assert np.max(np.abs(got - ref @ rho @ ref.conj().T)) < 1e-12
+
+
+def test_stacked_kernel_equals_member_by_member():
+    rng = np.random.default_rng(8)
+    lay = la.RegisterLayout(((la.system_id("a"), 2), (la.system_id("b"), 3),
+                             (la.system_id("c"), 2)))
+    b, c = la.system_id("b"), la.system_id("c")
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    stack = rng.standard_normal((5, 12, 12)) + 1j * rng.standard_normal((5, 12, 12))
+    wide = rng.standard_normal((5, 12, 7)) + 1j * rng.standard_normal((5, 12, 7))
+    for targets in ([c, b], [b, c]):
+        for a in (stack, wide):
+            out = la.apply_left(g, a, targets, lay)
+            assert out.shape == a.shape
+            for i in range(len(a)):
+                assert np.array_equal(out[i], la.apply_left(g, a[i], targets, lay))
+        out = la.conjugate(g, stack, targets, lay)
+        for i in range(len(stack)):
+            assert np.array_equal(out[i], la.conjugate(g, stack[i], targets, lay))
+    rho = la.DensityOperator(lay, stack)
+    assert np.array_equal(rho.trace(), [la.DensityOperator(lay, m).trace()
+                                        for m in stack])
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    assert np.array_equal(la.trace_product(a, stack),
+                          [la.trace_product(a, m) for m in stack])
+    with pytest.raises(la.LayoutError):
+        la.DensityOperator(lay, stack[:, :, :6])

@@ -337,3 +337,59 @@ def test_check_node_without_memo_agrees_with_check_script():
             assert (p1, r1) == (p2, r2)
             assert (v1.status, v1.reason, v1.side_conditions) == \
                 (v2.status, v2.reason, v2.side_conditions), (p1, r1)
+
+
+# ---------------------------------------------------------------------------
+# Syntactic matches tell literal types apart
+
+
+def _and_true_ket(lit):
+    """[|lit and true>_q1]"""
+    value = cl.BinOp("and", lit, cl.TRUE)
+    return StateProj(asrt.Ket(value, QVar("q1")))
+
+
+def test_skip_rejects_a_postcondition_differing_in_literal_type(corpus):
+    interp, _, _ = corpus
+    good = CqAssertion(cl.TRUE, _and_true_ket(cl.TRUE))
+    for lit in (cl.Lit(1), cl.Lit(1.0)):
+        bad = CqAssertion(cl.TRUE, _and_true_ket(lit))
+        node = pv.ProofNode("Skip", pv.HoareTriple(good, qs.Skip(), bad))
+        report = check(node, interp)
+        assert report.status == "rejected", report.to_json()
+    same = pv.ProofNode("Skip", pv.HoareTriple(good, qs.Skip(), good))
+    assert check(same, interp).accepted
+
+
+def test_formula_and_predicate_equality_tell_literal_types_apart():
+    one, real, true = cl.Lit(1), cl.Lit(1.0), cl.TRUE
+    assert not cl.formula_equal(one, true)
+    assert not cl.formula_equal(one, real)
+    assert not cl.formula_equal(cl.BinOp("=", cl.Var("x"), one),
+                                cl.BinOp("=", cl.Var("x"), real))
+    assert cl.formula_equal(cl.BinOp("=", cl.Var("x"), one),
+                            cl.BinOp("=", cl.Var("x"), cl.Lit(1)))
+    assert not asrt.pred_equal(_and_true_ket(one), _and_true_ket(true))
+    assert asrt.pred_equal(_and_true_ket(one), _and_true_ket(cl.Lit(1)))
+    sub = Atomic("P0", (), (QVar("q", (one,)),))
+    assert not asrt.pred_equal(sub, Atomic("P0", (), (QVar("q", (true,)),)))
+
+
+@pytest.mark.parametrize("rule", ["Accum1", "Accum2"])
+def test_accum_symbol_parameters_tell_literal_types_apart(corpus, rule):
+    interp, _, _ = corpus
+    s0 = hz._skip_node(cl.TRUE, hz._proj_ket(cl.Lit(0), "q1"))
+    q1 = QVar("q1")
+
+    def accum(pre_param, post_param):
+        return pv.ProofNode(rule, pv.HoareTriple(
+            CqAssertion(cl.TRUE, Kraus("F_M", (pre_param,), (q1,),
+                                       (s0.conclusion.pre.a,))),
+            qs.Skip(),
+            CqAssertion(cl.TRUE, Kraus("F_M", (post_param,), (q1,),
+                                       (s0.conclusion.post.a,)))), (s0,))
+
+    assert check(accum(cl.Lit(0), cl.Lit(0)), interp).accepted
+    for pre_param, post_param in ((cl.Lit(0), cl.FALSE), (cl.Lit(1), cl.Lit(1.0))):
+        report = check(accum(pre_param, post_param), interp)
+        assert report.status == "rejected", report.to_json()

@@ -179,3 +179,121 @@ def test_nt_lower_bound_geometric():
     p = prog("while x = 1 do x := M[q1]; H[q1] od")
     for k in range(1, 6):
         assert abs(sem.nt_lower_bound(p, st, k, interp) - 2.0 ** -k) < 1e-12
+
+
+def test_run_and_structural_sem_agree_on_a_long_sequence():
+    interp = small_interp()
+    body = [qs.Gate("H", (), (qs.QVar("q1"),)), qs.Skip(),
+            qs.Gate("CNOT", (), (qs.QVar("q1"), qs.QVar("q2"))),
+            qs.Assign("y", cl.BinOp("%", cl.BinOp("+", cl.Var("y"), cl.Lit(1)),
+                                    cl.Lit(4)))]
+    cmds = [qs.Measure("x", "M", (qs.QVar("q3"),))]
+    cmds += [body[i % len(body)] for i in range(1997)]
+    cmds += [prog("while x = 1 do H[q3]; x := M[q3] od"), qs.Skip()]
+    p = qs.seq_all(cmds)
+    assert len(qs.seq_parts(p)) == 2000
+    st = random_input(np.random.default_rng(11), interp)
+    st = sem.CqState(cl.ClassicalState({"x": 0, "y": 0}), st.rho)
+    a = sem.run(p, st, 2, interp)
+    b = sem.structural_sem(p, st, 2, interp)
+    assert len(a.items) == len(b.items) == 3
+    assert sem.multiset_equal(a.items, b.items, tol=1e-12)
+    assert len(a.residual) == len(b.residual) == 1
+    assert a.residual[0].program == b.residual[0].program
+    assert abs(a.residual_trace() - b.residual_trace()) < 1e-12
+    assert abs(a.pruned_trace - b.pruned_trace) < 1e-12
+    assert a.blocked_trace == b.blocked_trace == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked runs: one branch tree, masses per member
+
+
+def _array_interp():
+    interp = small_interp()
+    interp.declare_quantum("r", 2, (cl.IntType(0, 1),))
+    return interp
+
+
+# r[1] is measured into x; for x = 1 the CNOT's operands coincide and the
+# branch blocks; the loop on r[0] leaves a residual at fuel 2
+STACK_PROG = ("x := M[r[1]]; CNOT[r[1], r[x]]; "
+              "while y = 1 do y := M[r[0]]; H[r[0]] od")
+
+
+def _stack_members(layout):
+    """Three inputs on q1..q3 (x) r[0] (x) r[1]: |+> on r[0] with a tiny |1>
+    amplitude on r[1], |1> on r[0] with |+> on r[1], and a random mixed
+    state."""
+    def on_r(v0, v1):
+        rest = la.basis_vector(0, layout.dim // 4)
+        return la.pure_state(np.kron(rest, np.kron(v0, v1)), layout).mat
+    eps = 1e-8
+    tiny = np.array([np.sqrt(1 - eps), np.sqrt(eps)])
+    plus = np.array([1, 1]) / np.sqrt(2)
+    one = np.array([0.0, 1.0])
+    mixed = random_density(np.random.default_rng(4), layout)
+    return np.stack([on_r(plus, tiny), on_r(one, plus), mixed.mat])
+
+
+def test_stacked_run_keeps_masses_per_member():
+    interp = _array_interp()
+    layout = interp.make_layout(interp.all_systems())
+    assert layout.ids[-2:] == (("r", (0,)), ("r", (1,)))
+    mats = _stack_members(layout)
+    sigma = cl.ClassicalState({"x": 0, "y": 1})
+    p = prog(STACK_PROG)
+    out = sem.run(p, sem.CqState(sigma, la.DensityOperator(layout, mats)), 2,
+                  interp, prune=1e-6)
+    for i, mat in enumerate(mats):
+        solo = sem.run(p, sem.CqState(sigma, la.DensityOperator(layout, mat)), 2,
+                       interp, prune=1e-6)
+        assert out.pruned_trace[i] == solo.pruned_trace
+        assert out.blocked_trace[i] == solo.blocked_trace
+        assert out.residual_trace()[i] == solo.residual_trace()
+        assert out.items_trace()[i] == solo.items_trace()
+        assert out.input_trace[i] == solo.input_trace
+        # the member's live items are the solo items, in the same order;
+        # where it was pruned, it is zero
+        live = [s for s in out.items if np.any(s.rho.mat[i] != 0)]
+        assert len(live) == len(solo.items)
+        for s, t in zip(live, solo.items):
+            assert s.sigma == t.sigma
+            assert np.array_equal(s.rho.mat[i], t.rho.mat)
+    # the first member's x = 1 branch is pruned, the second's is blocked:
+    # the branch lives on for the second member
+    assert 0 < out.pruned_trace[0] < 1e-6 and out.blocked_trace[0] == 0.0
+    assert out.pruned_trace[1] == 0.0 and abs(out.blocked_trace[1] - 0.5) < 1e-12
+    assert np.all(out.residual_trace() > 0)
+
+
+def test_stack_of_one_is_the_unstacked_run():
+    interp = _array_interp()
+    layout = interp.make_layout(interp.all_systems())
+    mat = _stack_members(layout)[2]
+    sigma = cl.ClassicalState({"x": 0, "y": 1})
+    p = prog(STACK_PROG)
+    a = sem.run(p, sem.CqState(sigma, la.DensityOperator(layout, mat)), 3, interp)
+    b = sem.run(p, sem.CqState(sigma, la.DensityOperator(layout, mat[None])), 3,
+                interp)
+    assert isinstance(a.blocked_trace, float) and b.blocked_trace.shape == (1,)
+    assert len(a.items) == len(b.items) and len(a.residual) == len(b.residual)
+    for s, t in zip(a.items, b.items):
+        assert s.sigma == t.sigma and np.array_equal(s.rho.mat, t.rho.mat[0])
+    assert (a.blocked_trace, a.pruned_trace, a.residual_trace()) == \
+        (b.blocked_trace[0], b.pruned_trace[0], b.residual_trace()[0])
+
+
+def test_branch_cap_counts_the_batch_branches():
+    interp = small_interp()
+    layout = interp.make_layout(interp.all_systems())
+    p = prog("H[q1]; x := M[q1]; H[q2]; y := M[q2]")
+    mats = np.stack([random_density(np.random.default_rng(i), layout).mat
+                     for i in range(3)])
+    sigma = cl.ClassicalState({"x": 0, "y": 0})
+    out = sem.run(p, sem.CqState(sigma, la.DensityOperator(layout, mats)), 0,
+                  interp, branch_cap=4)
+    assert len(out.items) == 4
+    with pytest.raises(sem.SemanticsError):
+        sem.run(p, sem.CqState(sigma, la.DensityOperator(layout, mats)), 0,
+                interp, branch_cap=3)
