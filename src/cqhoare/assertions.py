@@ -122,7 +122,7 @@ def superpose_sum(terms):
 
 
 # ---------------------------------------------------------------------------
-# Signatures and classical variables
+# Signatures
 
 
 def sig_state(s):
@@ -150,58 +150,6 @@ def sig(a):
         out = frozenset()
         for b in a.branches:
             out |= sig(b)
-        return out
-    raise AssertionError_("unknown predicate node %r" % (a,))
-
-
-def _qvar_vars(q):
-    out = set()
-    for s in q.subs:
-        out |= cl.free_vars(s)
-    return out
-
-
-def cv_state(s):
-    if isinstance(s, Ket):
-        return cl.free_vars(s.value) | _qvar_vars(s.qvar)
-    if isinstance(s, STensor):
-        return cv_state(s.left) | cv_state(s.right)
-    if isinstance(s, Superpose):
-        return (cl.free_vars(s.c1) | cl.free_vars(s.c2)
-                | cv_state(s.s1) | cv_state(s.s2))
-    if isinstance(s, GateApp):
-        out = cv_state(s.state)
-        for e in s.params:
-            out |= cl.free_vars(e)
-        for q in s.targets:
-            out |= _qvar_vars(q)
-        return out
-    raise AssertionError_("unknown formal state node %r" % (s,))
-
-
-def cv(a):
-    """Classical variables occurring in a predicate formula."""
-    if isinstance(a, Atomic):
-        out = set()
-        for e in a.params:
-            out |= cl.free_vars(e)
-        for q in a.targets:
-            out |= _qvar_vars(q)
-        return out
-    if isinstance(a, StateProj):
-        return cv_state(a.state)
-    if isinstance(a, Neg):
-        return cv(a.arg)
-    if isinstance(a, PTensor):
-        return cv(a.left) | cv(a.right)
-    if isinstance(a, Kraus):
-        out = set()
-        for e in a.params:
-            out |= cl.free_vars(e)
-        for q in a.targets:
-            out |= _qvar_vars(q)
-        for b in a.branches:
-            out |= cv(b)
         return out
     raise AssertionError_("unknown predicate node %r" % (a,))
 
@@ -254,8 +202,7 @@ def _resolve_distinct(interp, sigma, targets, what):
 # vectors it is built from.
 
 
-_STATES = (Ket, STensor, Superpose, GateApp)
-_FORMAL = _STATES + (Atomic, StateProj, Neg, PTensor, Kraus)
+_FORMAL = (Ket, STensor, Superpose, GateApp, Atomic, StateProj, Neg, PTensor, Kraus)
 
 
 def _tree_key(memo, x):
@@ -270,16 +217,16 @@ def _tree_key(memo, x):
 
 
 def _intern(memo, node):
-    """(node, token, names) for a formal state or predicate; `names` are the
-    sorted classical variables of a state, empty for a predicate.  The key
-    of a node holds its children's tokens, so each node is keyed once."""
+    """(node, token, names) for a formal state or predicate; `names` are its
+    sorted classical variables.  The key of a node holds its children's
+    tokens, so each node is keyed once."""
     entry = memo.get(id(node))
     if entry is None:
         key = (type(node),) + tuple(_tree_key(memo, getattr(node, f.name))
                                     for f in fields(node))
         # tokens are memo sizes, which never repeat as the memo only grows
         token = memo.setdefault(("tree", key), len(memo))
-        names = tuple(sorted(cv_state(node))) if isinstance(node, _STATES) else ()
+        names = tuple(sorted(qs.classical_vars(node)))
         entry = memo[id(node)] = (node, token, names)
     return entry
 
@@ -444,99 +391,17 @@ def eval_predicate(sigma, a, interp, memo=None):
 
 
 # ---------------------------------------------------------------------------
-# Substitution (componentwise everywhere, including tensor and projectors)
-
-
-def _subst_qvar(q, e, x):
-    return QVar(q.name, tuple(cl.subst(s, e, x) for s in q.subs))
-
-
-def subst_state(s, e, x):
-    if isinstance(s, Ket):
-        return Ket(cl.subst(s.value, e, x), _subst_qvar(s.qvar, e, x))
-    if isinstance(s, STensor):
-        return STensor(subst_state(s.left, e, x), subst_state(s.right, e, x))
-    if isinstance(s, Superpose):
-        return Superpose(
-            cl.subst(s.c1, e, x), subst_state(s.s1, e, x),
-            cl.subst(s.c2, e, x), subst_state(s.s2, e, x))
-    if isinstance(s, GateApp):
-        return GateApp(
-            s.gate,
-            tuple(cl.subst(p, e, x) for p in s.params),
-            tuple(_subst_qvar(q, e, x) for q in s.targets),
-            subst_state(s.state, e, x))
-    raise AssertionError_("unknown formal state node %r" % (s,))
+# Substitution and syntactic equality
 
 
 def subst_predicate(a, e, x):
-    if isinstance(a, Atomic):
-        return Atomic(
-            a.name,
-            tuple(cl.subst(p, e, x) for p in a.params),
-            tuple(_subst_qvar(q, e, x) for q in a.targets))
-    if isinstance(a, StateProj):
-        return StateProj(subst_state(a.state, e, x))
-    if isinstance(a, Neg):
-        return Neg(subst_predicate(a.arg, e, x))
-    if isinstance(a, PTensor):
-        return PTensor(subst_predicate(a.left, e, x), subst_predicate(a.right, e, x))
-    if isinstance(a, Kraus):
-        return Kraus(
-            a.name,
-            tuple(cl.subst(p, e, x) for p in a.params),
-            tuple(_subst_qvar(q, e, x) for q in a.targets),
-            tuple(subst_predicate(b, e, x) for b in a.branches))
-    raise AssertionError_("unknown predicate node %r" % (a,))
-
-
-# ---------------------------------------------------------------------------
-# Structural equality up to expression normalization
-
-
-def _norm_qvar(q):
-    return QVar(q.name, tuple(cl.normalize(s) for s in q.subs))
-
-
-def normalize_state(s):
-    if isinstance(s, Ket):
-        return Ket(cl.normalize(s.value), _norm_qvar(s.qvar))
-    if isinstance(s, STensor):
-        return STensor(normalize_state(s.left), normalize_state(s.right))
-    if isinstance(s, Superpose):
-        return Superpose(cl.normalize(s.c1), normalize_state(s.s1),
-                         cl.normalize(s.c2), normalize_state(s.s2))
-    if isinstance(s, GateApp):
-        return GateApp(s.gate, tuple(cl.normalize(p) for p in s.params),
-                       tuple(_norm_qvar(q) for q in s.targets),
-                       normalize_state(s.state))
-    raise AssertionError_("unknown formal state node %r" % (s,))
-
-
-def normalize_pred(a):
-    if isinstance(a, Atomic):
-        return Atomic(a.name, tuple(cl.normalize(p) for p in a.params),
-                      tuple(_norm_qvar(q) for q in a.targets))
-    if isinstance(a, StateProj):
-        return StateProj(normalize_state(a.state))
-    if isinstance(a, Neg):
-        return Neg(normalize_pred(a.arg))
-    if isinstance(a, PTensor):
-        return PTensor(normalize_pred(a.left), normalize_pred(a.right))
-    if isinstance(a, Kraus):
-        return Kraus(a.name, tuple(cl.normalize(p) for p in a.params),
-                     tuple(_norm_qvar(q) for q in a.targets),
-                     tuple(normalize_pred(b) for b in a.branches))
-    raise AssertionError_("unknown predicate node %r" % (a,))
+    """a[e/x], componentwise everywhere, including tensors and projectors."""
+    return qs.map_exprs(a, lambda s: cl.subst(s, e, x))
 
 
 def pred_equal(a, b):
-    return normalize_pred(a) == normalize_pred(b)
-
-
-def targets_equal(ts, us):
-    """Syntactic match of two target lists; subscript literal types count."""
-    return [_norm_qvar(q) for q in ts] == [_norm_qvar(q) for q in us]
+    """Syntactic match of two predicates (`qs.same_syntax`)."""
+    return qs.same_syntax(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +468,18 @@ def _comparable(ra, rb, interp):
 def entails(phi, a, b, domain, interp, memo=None):
     """phi |= A <= B by exhaustive enumeration of the domain.
 
-    With a memo, A and B that are the same tree are reflexive: A is still
+    With a memo, the classical variables of A and B come from their memo
+    entries, and A and B that are the same tree are reflexive: A is still
     evaluated at every sigma, so its errors and well-definedness decide as
     before, but B and the Loewner comparison (B - A = 0) are skipped."""
-    states = domain.enumerate(cl.free_vars(phi) | cv(a) | cv(b))
+    if memo is None:
+        names, reflexive = qs.classical_vars((phi, a, b)), False
+    else:
+        (_, ta, na), (_, tb, nb) = _intern(memo, a), _intern(memo, b)
+        names, reflexive = cl.free_vars(phi).union(na, nb), ta == tb
+    states = domain.enumerate(names)
     if isinstance(states, Verdict):
         return states
-    reflexive = memo is not None and _intern(memo, a)[1] == _intern(memo, b)[1]
     checked = 0
     for sigma in states:
         if not cl.satisfies(sigma, phi):

@@ -343,6 +343,10 @@ class Quant:
     body: object
 
 
+# the expression node types; the generic syntax walks in `qsyntax` treat an
+# expression as a leaf, and its own analyses are the functions below
+EXPRS = (Lit, Var, BinOp, UnOp, BitIndex, BinFrac, Call, Quant)
+
 TRUE = Lit(True)
 FALSE = Lit(False)
 

@@ -142,9 +142,7 @@ def _cmd_entail(args):
                   for n, t in _read_json(args.domain).items()}
         domain = asrt.Domain(typing)
     else:
-        names = (cl.free_vars(pre.phi) | cl.free_vars(post.phi)
-                 | asrt.cv(pre.a) | asrt.cv(post.a))
-        domain, _ = asrt.Domain.from_interp(interp, names)
+        domain, _ = asrt.Domain.from_interp(interp, qs.classical_vars((pre, post)))
     v = asrt.cq_entails(pre, post, domain, interp)
     doc = {"status": v.status, "reason": v.reason, "version": __version__}
     if v.witness is not None:

@@ -90,12 +90,6 @@ class FuzzReport:
         }
 
 
-def _triple_names(t):
-    return (cl.free_vars(t.pre.phi) | cl.free_vars(t.post.phi)
-            | asrt.cv(t.pre.a) | asrt.cv(t.post.a)
-            | qs.classical_vars(t.program))
-
-
 def _sample_sigma(rng, typing, names):
     """A uniform draw from the domain, one index per variable, without
     listing any type's values."""
@@ -146,7 +140,7 @@ def fuzz_triple(triple, interp, cfg=None):
     classical state of each input sigma."""
     cfg = cfg or RunConfig()
     rng = np.random.default_rng(cfg.seed)
-    names = _triple_names(triple)
+    names = qs.classical_vars(triple)
     domain, missing = Domain.from_interp(interp, names)
     if missing:
         return FuzzReport(triple, triple.mode, [], "inconclusive", 0.0, cfg,

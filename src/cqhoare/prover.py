@@ -2,11 +2,12 @@
 
 The kernel checks one node at a time: a node's verdict depends only on its
 conclusion, its premises' conclusions, and its witnesses.  Matching against
-rule schemata is syntactic (formulas compared up to and/or flattening and
-bound-variable renaming); semantic gaps must be bridged with Conseq, whose
-entailments are discharged by exhaustive enumeration of declared finite
-domains.  Side conditions over non-enumerable domains yield the verdict
-"inconclusive", never a silent pass.
+rule schemata is syntactic (`qsyntax.same_syntax`: programs, predicates and
+assertions compared node by node, their formulas up to and/or flattening,
+bound-variable renaming and literal types); semantic gaps must be bridged
+with Conseq, whose entailments are discharged by exhaustive enumeration of
+declared finite domains.  Side conditions over non-enumerable domains yield
+the verdict "inconclusive", never a silent pass.
 """
 
 from dataclasses import dataclass, field
@@ -94,10 +95,6 @@ def _or_all(parts):
     return out
 
 
-def assertion_eq(a, b):
-    return cl.formula_equal(a.phi, b.phi) and asrt.pred_equal(a.a, b.a)
-
-
 def _reject(reason):
     return NodeVerdict("rejected", reason)
 
@@ -105,15 +102,10 @@ def _reject(reason):
 def _domain_for(node, interp):
     """Enumeration domain for a node: the interpretation's typing for every
     classical variable mentioned anywhere in the conclusion and witnesses."""
-    t = node.conclusion
-    names = (cl.free_vars(t.pre.phi) | cl.free_vars(t.post.phi)
-             | asrt.cv(t.pre.a) | asrt.cv(t.post.a)
-             | qs.classical_vars(t.program))
+    names = qs.classical_vars((node.conclusion, node.witnesses.get("t")))
     for w in ("y", "z"):
         if w in node.witnesses:
             names.add(node.witnesses[w])
-    if "t" in node.witnesses:
-        names |= cl.free_vars(node.witnesses["t"])
     domain, _missing = Domain.from_interp(interp, names)
     return domain
 
@@ -153,12 +145,12 @@ def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
     """
     if fp.rank != 1:
         return Verdict("fails", reason="F' must have rank 1")
-    eps = 1e-9
+    eps = interp.tolerances.psd
     if f.dims is None and fp.dims is None:
         cs = f.operators(params_values, interp.tolerances)
         cp = fp.operators(params_values, interp.tolerances)[0]
         if abs(cp) < 1e-15:
-            ok = all(abs(c) < 1e-12 for c in cs)
+            ok = all(abs(c) < cl.FLOAT_EQ for c in cs)
             return Verdict("holds" if ok else "fails",
                            reason="scalar comparison")
         bad = [c for c in cs if abs(c / cp) > 1 + eps]
@@ -173,7 +165,7 @@ def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
     if tier_a:
         for fi in ops:
             lam = np.vdot(w, fi) / denom
-            if np.max(np.abs(fi - lam * w)) > 1e-9 or abs(lam) > 1 + eps:
+            if np.max(np.abs(fi - lam * w)) > eps or abs(lam) > 1 + eps:
                 tier_a = False
                 break
             lambdas.append(lam)
@@ -206,7 +198,7 @@ def _check_skip(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.Skip):
         return _reject("program is not skip")
-    if not assertion_eq(t.pre, t.post):
+    if not qs.same_syntax(t.pre, t.post):
         return _reject("pre and post must be identical")
     return NodeVerdict("accepted")
 
@@ -263,9 +255,9 @@ def _check_meas(node, interp, domain, memo):
         return _reject("missing fresh-variable witness y")
     x = t.program.var
     phi, last = _split_last_conjunct(t.post.phi)
-    if last != cl.BinOp("=", cl.Var(x), cl.Var(y)):
+    if not cl.formula_equal(last, cl.BinOp("=", cl.Var(x), cl.Var(y))):
         return _reject("postcondition must end with the conjunct %s = %s" % (x, y))
-    if y in cl.free_vars(phi) | asrt.cv(t.post.a) | {x}:
+    if y in qs.classical_vars((phi, t.post.a)) | {x}:
         return _reject("witness %s is not fresh" % y)
     if not cl.formula_equal(t.pre.phi, cl.subst(phi, cl.Var(y), x)):
         return _reject("precondition formula is not phi[y/x]")
@@ -285,11 +277,12 @@ def _check_seq(node, interp, domain, memo):
     if len(node.premises) != 2:
         return _reject("sequence rule takes two premises")
     t1, t2 = node.premises[0].conclusion, node.premises[1].conclusion
-    if t1.program != t.program.first or t2.program != t.program.second:
+    if not qs.same_syntax((t1.program, t2.program),
+                          (t.program.first, t.program.second)):
         return _reject("premise programs do not match the sequence")
-    if not (assertion_eq(t1.pre, t.pre) and assertion_eq(t2.post, t.post)):
+    if not qs.same_syntax((t1.pre, t2.post), (t.pre, t.post)):
         return _reject("endpoint assertions do not match")
-    if not assertion_eq(t1.post, t2.pre):
+    if not qs.same_syntax(t1.post, t2.pre):
         return _reject("intermediate assertions do not match")
     return NodeVerdict("accepted")
 
@@ -301,7 +294,8 @@ def _check_cond(node, interp, domain, memo):
     if len(node.premises) != 2:
         return _reject("conditional rule takes two premises")
     t1, t0 = node.premises[0].conclusion, node.premises[1].conclusion
-    if t1.program != t.program.then or t0.program != t.program.orelse:
+    if not qs.same_syntax((t1.program, t0.program),
+                          (t.program.then, t.program.orelse)):
         return _reject("premise programs do not match the branches")
     phi, b = t.pre.phi, t.program.cond
     if not cl.formula_equal(t1.pre.phi, _and(phi, b)):
@@ -311,22 +305,20 @@ def _check_cond(node, interp, domain, memo):
     for tb in (t1, t0):
         if not asrt.pred_equal(tb.pre.a, t.pre.a):
             return _reject("premise quantum preconditions must match")
-        if not assertion_eq(tb.post, t.post):
+        if not qs.same_syntax(tb.post, t.post):
             return _reject("premise postconditions must match")
     return NodeVerdict("accepted")
 
 
 def _check_loop_par(node, interp, domain, memo):
     t = node.conclusion
-    if t.mode != "partial":
-        return _reject("this loop rule is for partial correctness")
     if not isinstance(t.program, qs.While):
         return _reject("program is not a loop")
     if len(node.premises) != 1:
         return _reject("loop rule takes one premise")
     tb = node.premises[0].conclusion
     phi, b = t.pre.phi, t.program.cond
-    if tb.program != t.program.body:
+    if not qs.same_syntax(tb.program, t.program.body):
         return _reject("premise program is not the loop body")
     ok = (cl.formula_equal(tb.pre.phi, _and(phi, b))
           and asrt.pred_equal(tb.pre.a, t.pre.a)
@@ -343,8 +335,6 @@ def _check_loop_par(node, interp, domain, memo):
 
 def _check_loop_tot(node, interp, domain, memo):
     t = node.conclusion
-    if t.mode != "total":
-        return _reject("this loop rule is for total correctness")
     if not isinstance(t.program, qs.While):
         return _reject("program is not a loop")
     if len(node.premises) != 2:
@@ -355,7 +345,7 @@ def _check_loop_tot(node, interp, domain, memo):
         return _reject("missing variant witness t or ranking variable z")
     phi, b = t.pre.phi, t.program.cond
     t1, t2 = node.premises[0].conclusion, node.premises[1].conclusion
-    if t1.program != t.program.body or t2.program != t.program.body:
+    if not qs.same_syntax((t1.program, t2.program), (t.program.body,) * 2):
         return _reject("premise programs must be the loop body")
     ok1 = (cl.formula_equal(t1.pre.phi, _and(phi, b))
            and asrt.pred_equal(t1.pre.a, t.pre.a)
@@ -374,10 +364,8 @@ def _check_loop_tot(node, interp, domain, memo):
         return _reject("postcondition formula is not phi and not b")
     if not asrt.pred_equal(t.post.a, t.pre.a):
         return _reject("invariant predicate must be preserved")
-    fresh_bad = {z} & (cl.free_vars(phi) | cl.free_vars(b) | cl.free_vars(tv)
-                       | qs.classical_vars(t.program))
     side = []
-    if fresh_bad:
+    if z in qs.classical_vars((phi, tv, t.program)):
         return _reject("ranking variable %s is not fresh" % z)
     side.append(("freshness", "holds", "z fresh"))
     # phi -> t >= 0, and t integer-valued, by enumeration
@@ -401,7 +389,7 @@ def _check_conseq(node, interp, domain, memo):
     if len(node.premises) != 1:
         return _reject("consequence rule takes one premise")
     tp = node.premises[0].conclusion
-    if tp.program != t.program:
+    if not qs.same_syntax(tp.program, t.program):
         return _reject("premise program differs")
     side = []
     v1 = asrt.cq_entails(t.pre, tp.pre, domain, interp, memo)
@@ -433,10 +421,7 @@ def _targets_disjoint(targets, program):
 
 
 def _mutual_exclusion(psis, domain):
-    names = set()
-    for p in psis:
-        names |= cl.free_vars(p)
-    states = domain.enumerate(names)
+    states = domain.enumerate(qs.classical_vars(psis))
     if isinstance(states, Verdict):
         return states
     for sigma in states:
@@ -460,7 +445,7 @@ def _accum_common(node, interp):
     if sym.rank != k or len(t.pre.a.branches) != k:
         return None, _reject("symbol rank must equal the premise count")
     for p in node.premises:
-        if p.conclusion.program != t.program:
+        if not qs.same_syntax(p.conclusion.program, t.program):
             return None, _reject("premise programs must match the conclusion")
         if not cl.formula_equal(p.conclusion.pre.phi, t.pre.phi):
             return None, _reject("premise preconditions must share one formula")
@@ -468,12 +453,6 @@ def _accum_common(node, interp):
         if not asrt.pred_equal(t.pre.a.branches[i], p.conclusion.pre.a):
             return None, _reject("branch %d does not match premise %d" % (i, i))
     return sym, None
-
-
-def _same_params(xs, ys):
-    """Syntactic match of two parameter lists; literal types count."""
-    return len(xs) == len(ys) and all(
-        cl.formula_equal(a, b) for a, b in zip(xs, ys))
 
 
 def _eval_const_params(params):
@@ -494,9 +473,9 @@ def _check_accum1(node, interp, domain, memo):
     fp = interp.kraus_symbol(t.post.a.name)
     if fp.rank != 1 or len(t.post.a.branches) != 1:
         return _reject("postcondition symbol must have rank 1")
-    if not _same_params(t.post.a.params, t.pre.a.params):
+    if not qs.same_syntax(t.post.a.params, t.pre.a.params):
         return _reject("pre and post symbol parameters must match")
-    if not asrt.targets_equal(t.post.a.targets, t.pre.a.targets):
+    if not qs.same_syntax(t.post.a.targets, t.pre.a.targets):
         return _reject("pre and post symbol targets must match")
     b = node.premises[0].conclusion.post.a
     for p in node.premises[1:]:
@@ -542,10 +521,10 @@ def _check_accum2(node, interp, domain, memo):
         return err
     if not isinstance(t.post.a, Kraus) or t.post.a.name != t.pre.a.name:
         return _reject("conclusion must apply the same symbol on both sides")
-    if not asrt.targets_equal(t.post.a.targets, t.pre.a.targets) or \
+    if not qs.same_syntax(t.post.a.targets, t.pre.a.targets) or \
             len(t.post.a.branches) != sym.rank:
         return _reject("postcondition symbol application malformed")
-    if not _same_params(t.post.a.params, t.pre.a.params):
+    if not qs.same_syntax(t.post.a.params, t.pre.a.params):
         return _reject("pre and post symbol parameters must match")
     psi = node.premises[0].conclusion.post.phi
     for p in node.premises[1:]:
@@ -565,12 +544,12 @@ def _check_accum2(node, interp, domain, memo):
     return NodeVerdict("accepted", side_conditions=side)
 
 
-def _weights_of(node, k):
+def _weights_of(node, k, interp):
     ws = node.witnesses.get("weights")
     if ws is None or len(ws) != k:
         return None
     ws = [float(w) for w in ws]
-    if any(w < -1e-12 for w in ws) or sum(ws) > 1 + 1e-9:
+    if any(w < -cl.FLOAT_EQ for w in ws) or sum(ws) > 1 + interp.tolerances.trace:
         return None
     return ws
 
@@ -582,7 +561,7 @@ def _params_close(params, values):
         return False
     if len(got) != len(values):
         return False
-    return all(abs(float(a) - float(b)) <= 1e-12 for a, b in zip(got, values))
+    return all(abs(float(a) - float(b)) <= cl.FLOAT_EQ for a, b in zip(got, values))
 
 
 def _check_convex1(node, interp, domain, memo):
@@ -593,7 +572,7 @@ def _check_convex1(node, interp, domain, memo):
         return err
     if sym.dims is not None or sym.name != "WSUM%d" % k:
         return _reject("conclusion must use the scalar weighted-sum symbol")
-    ws = _weights_of(node, k)
+    ws = _weights_of(node, k, interp)
     if ws is None:
         return _reject("invalid or missing probability weights")
     if not _params_close(t.pre.a.params, ws):
@@ -629,7 +608,7 @@ def _check_convex2(node, interp, domain, memo):
         return err
     if sym.dims is not None or sym.name != "WSUM%d" % k:
         return _reject("conclusion must use the scalar weighted-sum symbol")
-    ws = _weights_of(node, k)
+    ws = _weights_of(node, k, interp)
     if ws is None:
         return _reject("invalid or missing probability weights")
     if not _params_close(t.pre.a.params, ws):
@@ -668,6 +647,11 @@ _CHECKERS = {
 }
 
 
+# the rules whose side conditions enumerate classical states; no other
+# checker reads the domain, so none is built for it
+_ENUMERATING = ("Conseq", "LoopTot", "Accum1", "Convex1")
+
+
 def check_node(node, interp, domain=None, memo=None):
     """Verdict for one node given its premises' conclusions.  `memo` is an
     evaluation memo (see `assertions`) shared by the nodes of one script."""
@@ -684,7 +668,7 @@ def check_node(node, interp, domain=None, memo=None):
         return _reject("LoopPar only derives partial-correctness triples")
     if node.rule == "LoopTot" and node.conclusion.mode != "total":
         return _reject("LoopTot only derives total-correctness triples")
-    if domain is None:
+    if domain is None and node.rule in _ENUMERATING:
         domain = _domain_for(node, interp)
     try:
         return checker(node, interp, domain, memo)

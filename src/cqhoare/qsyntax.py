@@ -16,7 +16,8 @@ NAME starts with an uppercase letter; otherwise it is a bit-array index
 expression.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+import functools
 import math
 
 from . import classical as cl
@@ -654,87 +655,117 @@ def _qvar_entry(q):
     return (q.name, tuple(vals))
 
 
-def quantum_vars(p):
+# ---------------------------------------------------------------------------
+# Generic syntax walks
+#
+# Every syntax node (program, formal state, predicate, assertion, triple,
+# QVar) is a frozen dataclass whose fields are strings, nodes, tuples of
+# nodes, or classical expressions.  An expression is a leaf here.
+
+
+_SEQS = (tuple, list)
+
+
+@functools.cache
+def _fields(cls):
+    """Field names of a node type in order; () for an expression, which is
+    a leaf, and None for a type that is not syntax, such as str."""
+    if not is_dataclass(cls):
+        return None
+    return () if issubclass(cls, cl.EXPRS) else tuple(f.name for f in fields(cls))
+
+
+def nodes(x):
+    """Every node of a tree or tuple of trees, each before its children.
+    An expression is yielded but not entered.  The walk keeps an explicit
+    stack, so a long program cannot exhaust the recursion limit."""
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, _SEQS):
+            stack.extend(x)
+            continue
+        names = _fields(type(x))
+        if names is None:
+            continue
+        yield x
+        for n in names:
+            v = getattr(x, n)
+            if v and type(v) is not str:  # names and () hold no nodes
+                stack.append(v)
+
+
+def map_exprs(x, f):
+    """The tree `x` rebuilt with `f` applied to each expression in it, QVar
+    subscripts included.  Recurses on the tree's depth."""
+    if isinstance(x, cl.EXPRS):
+        return f(x)
+    if isinstance(x, _SEQS):
+        return type(x)(map_exprs(y, f) for y in x)
+    names = _fields(type(x))
+    if names is None:
+        return x
+    values = (getattr(x, n) for n in names)
+    return type(x)(*[v if not v or type(v) is str else map_exprs(v, f) for v in values])
+
+
+def same_syntax(x, y):
+    """Whether two trees are the same syntax: equal node types, strings and
+    lengths, and expressions equal by `cl.formula_equal`, which tells
+    literal types apart.  Walks both trees pairwise with an explicit stack
+    and skips subtrees they share."""
+    stack = [(x, y)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if isinstance(a, cl.EXPRS) or isinstance(b, cl.EXPRS):
+            if not (isinstance(a, cl.EXPRS) and isinstance(b, cl.EXPRS)
+                    and cl.formula_equal(a, b)):
+                return False
+        elif isinstance(a, _SEQS):
+            if not isinstance(b, _SEQS) or len(a) != len(b):
+                return False
+            stack.extend(zip(a, b))
+        elif type(a) is not type(b):
+            return False
+        else:
+            names = _fields(type(a))
+            if names is None:
+                if a != b:
+                    return False
+            else:
+                stack.extend((getattr(a, n), getattr(b, n)) for n in names)
+    return True
+
+
+def quantum_vars(x):
     """Map base name -> set of constant subscript tuples, or None when some
     occurrence has a non-constant subscript (whole array)."""
     out = {}
-
-    def add(q):
+    for q in nodes(x):
+        if not isinstance(q, QVar):
+            continue
         name, entry = _qvar_entry(q)
         if entry is None:
             out[name] = None
         elif out.get(name, set()) is not None:
             out.setdefault(name, set()).add(entry)
-
-    def walk(p):
-        if isinstance(p, (Skip, Assign)):
-            return
-        if isinstance(p, Init):
-            add(p.qvar)
-        elif isinstance(p, (Gate, Measure)):
-            for q in p.targets:
-                add(q)
-        elif isinstance(p, Seq):
-            for c in seq_parts(p):
-                walk(c)
-        elif isinstance(p, If):
-            walk(p.then)
-            walk(p.orelse)
-        elif isinstance(p, While):
-            walk(p.body)
-
-    walk(p)
     return out
 
 
-def _qvar_free(q):
+def classical_vars(x):
+    """Classical variables occurring in a tree: the free variables of its
+    expressions and the variable of each assignment and measurement."""
     out = set()
-    for s in q.subs:
-        out |= cl.free_vars(s)
+    for n in nodes(x):
+        if isinstance(n, cl.EXPRS):
+            out |= cl.free_vars(n)
+        elif isinstance(n, (Assign, Measure)):
+            out.add(n.var)
     return out
 
 
-def classical_vars(p):
-    """All classical variables occurring in a program."""
-    out = set()
-    if isinstance(p, Skip):
-        return out
-    if isinstance(p, Assign):
-        return {p.var} | cl.free_vars(p.expr)
-    if isinstance(p, Init):
-        return _qvar_free(p.qvar)
-    if isinstance(p, Gate):
-        for e in p.params:
-            out |= cl.free_vars(e)
-        for q in p.targets:
-            out |= _qvar_free(q)
-        return out
-    if isinstance(p, Measure):
-        out = {p.var}
-        for q in p.targets:
-            out |= _qvar_free(q)
-        return out
-    if isinstance(p, Seq):
-        for c in seq_parts(p):
-            out |= classical_vars(c)
-        return out
-    if isinstance(p, If):
-        return cl.free_vars(p.cond) | classical_vars(p.then) | classical_vars(p.orelse)
-    if isinstance(p, While):
-        return cl.free_vars(p.cond) | classical_vars(p.body)
-    raise ValueError("unknown program node %r" % (p,))
-
-
-def modified_vars(p):
+def modified_vars(x):
     """Classical variables written by a program."""
-    if isinstance(p, Assign):
-        return {p.var}
-    if isinstance(p, Measure):
-        return {p.var}
-    if isinstance(p, Seq):
-        return set().union(*(modified_vars(c) for c in seq_parts(p)))
-    if isinstance(p, If):
-        return modified_vars(p.then) | modified_vars(p.orelse)
-    if isinstance(p, While):
-        return modified_vars(p.body)
-    return set()
+    return {n.var for n in nodes(x) if isinstance(n, (Assign, Measure))}

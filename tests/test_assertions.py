@@ -170,6 +170,17 @@ def test_substitution_lemma_randomized():
             assert np.max(np.abs(lhs.op - rhs.op)) < 1e-12
 
 
+def test_classical_vars_and_substitution_reach_every_expression():
+    state = asrt.parse_state("(c) * G(t)[r[i]] |v>_q[j] + (d) * |w>_q[k]")
+    a = Kraus("F", (cl.Var("p"),), (QVar("s", (cl.Var("m"),)),),
+              (PTensor(Neg(StateProj(state)), Atomic("P0", (cl.Var("u"),), ())),))
+    names = set("cdtivjwkpmu")
+    assert qs.classical_vars(a) == names
+    b = asrt.subst_predicate(a, cl.Var("z"), "k")
+    assert qs.classical_vars(b) == names - {"k"} | {"z"}
+    assert asrt.subst_predicate(b, cl.Var("k"), "z") == a
+
+
 # ---------------------------------------------------------------------------
 # Entailment
 

@@ -143,7 +143,7 @@ def _records_input_by_input(triple, interp, cfg):
     """The records of `fuzz_triple`, rebuilt with one unstacked `run` and
     `trace_product` per input (enumerable domains only)."""
     rng = np.random.default_rng(cfg.seed)
-    names = hz._triple_names(triple)
+    names = qs.classical_vars(triple)
     domain, missing = asrt.Domain.from_interp(interp, names)
     assert not missing
     layout = interp.make_layout(interp.all_systems())

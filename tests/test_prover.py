@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cqhoare import classical as cl
+from cqhoare import linalg as la
 from cqhoare import qsyntax as qs
 from cqhoare import structures as st
 from cqhoare import assertions as asrt
@@ -393,3 +394,65 @@ def test_accum_symbol_parameters_tell_literal_types_apart(corpus, rule):
     for pre_param, post_param in ((cl.Lit(0), cl.FALSE), (cl.Lit(1), cl.Lit(1.0))):
         report = check(accum(pre_param, post_param), interp)
         assert report.status == "rejected", report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Programs match up to the normal form formulas use
+
+
+def _id1_assertion():
+    return CqAssertion(cl.TRUE, Atomic("ID1", (), (QVar("q1"),)))
+
+
+def test_seq_rejects_a_premise_program_differing_in_literal_type(corpus):
+    interp, _, _ = corpus
+    a = _id1_assertion()
+    ass = pv.ProofNode("Ass", pv.HoareTriple(a, qs.Assign("x", cl.Lit(0)), a))
+    skip = pv.ProofNode("Skip", pv.HoareTriple(a, qs.Skip(), a))
+
+    def seq(value):
+        prog = qs.Seq(qs.Assign("x", cl.Lit(value)), qs.Skip())
+        return pv.ProofNode("Seq", pv.HoareTriple(a, prog, a), (ass, skip))
+
+    assert check(seq(0), interp).accepted
+    v = pv.check_node(seq(False), interp)
+    assert (v.status, v.reason) == (
+        "rejected", "premise programs do not match the sequence")
+
+
+def test_conseq_rejects_a_premise_program_differing_in_literal_type(corpus):
+    interp, _, _ = corpus
+    a = _id1_assertion()
+    ass = pv.ProofNode("Ass", pv.HoareTriple(a, qs.Assign("x", cl.Lit(0)), a))
+
+    def conseq(value):
+        return pv.ProofNode("Conseq", pv.HoareTriple(
+            a, qs.Assign("x", cl.Lit(value)), a), (ass,))
+
+    assert pv.check_node(conseq(0), interp).accepted
+    v = pv.check_node(conseq(False), interp)
+    assert (v.status, v.reason) == ("rejected", "premise program differs")
+
+
+def test_conseq_over_long_programs_gets_a_verdict(corpus):
+    interp, _, _ = corpus
+    a = _id1_assertion()
+
+    def conseq(last):
+        premise = pv.ProofNode("Skip", pv.HoareTriple(
+            a, qs.seq_all([qs.Skip()] * 2000), a))
+        prog = qs.seq_all([qs.Skip()] * 1999 + [last])
+        return pv.ProofNode("Conseq", pv.HoareTriple(a, prog, a), (premise,))
+
+    assert pv.check_node(conseq(qs.Skip()), interp).accepted
+    v = pv.check_node(conseq(qs.Assign("x", cl.Lit(0))), interp)
+    assert (v.status, v.reason) == ("rejected", "premise program differs")
+
+
+def test_proportional_scalar_bound_reads_the_psd_tolerance():
+    interp = st.default_interpretation()
+    over = st.KrausSymbol("SOVER", 1, (), None, lambda: [0.5 * (1 + 1e-6)])
+    half = st.KrausSymbol("SHALF", 1, (), None, lambda: [0.5])
+    assert pv.check_proportional(over, half, (), interp).status == "fails"
+    interp.tolerances = la.Tolerances(psd=1e-5)
+    assert pv.check_proportional(over, half, (), interp).holds

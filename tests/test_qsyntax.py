@@ -82,6 +82,17 @@ def test_quantum_and_classical_vars():
     assert qv["q"] is None
 
 
+def test_same_syntax_compares_programs_up_to_normal_form():
+    p = qs.parse_program
+    assert qs.same_syntax(
+        p("if (x = 0 and y = 0) and true then x := 1 else skip fi"),
+        p("if x = 0 and (y = 0 and true) then x := 1 else skip fi"))
+    for a, b in (("x := 0", "x := false"), ("x := 1", "x := 1.0"),
+                 ("x := 0; skip", "x := 0"), ("H[q[1]]", "H[q[true]]"),
+                 ("H[q]", "X[q]"), ("x := M[q]", "y := M[q]")):
+        assert not qs.same_syntax(p(a), p(b)), (a, b)
+
+
 def test_modified_vars():
     p = qs.parse_program("x := 1; if true then y := M[q] else skip fi",
                          measurements={"M"})
@@ -107,6 +118,9 @@ def test_long_sequences_need_no_recursion():
     assert qs.classical_vars(p) == {"x", "y"}
     assert qs.modified_vars(p) == {"x"}
     assert qs.quantum_vars(p) == {}
+    copy = qs.seq_all([qs.Skip()] * 1999 + [qs.Assign("x", cl.Var("y"))])
+    assert qs.same_syntax(p, copy)
+    assert not qs.same_syntax(p, qs.seq_all([qs.Skip()] * 2000))
     left = qs.Skip()
     for _ in range(1999):
         left = qs.Seq(left, qs.Skip())
