@@ -198,6 +198,10 @@ def _resolve_distinct(interp, sigma, targets, what):
 #   (token, *values)  -> (vector, layout), or the NotWellDefined reason, of a
 #                        formal state at the values of its classical variables
 #   ("layout", systems) -> the one layout object those entries share
+#   ("tensor", id(l1), id(l2)) -> (l1, l2, (layout, dims, perm)), or
+#                        (l1, l2, reason): for a tensor of states on two of
+#                        those layouts, the union layout and the axis order
+#                        that takes the product to it (None if unchanged)
 # Operators are never stored: a D x D matrix per sigma would outweigh the
 # vectors it is built from.
 
@@ -205,29 +209,36 @@ def _resolve_distinct(interp, sigma, targets, what):
 _FORMAL = (Ket, STensor, Superpose, GateApp, Atomic, StateProj, Neg, PTensor, Kraus)
 
 
-def _tree_key(memo, x):
+def _tree_key(memo, x, names):
+    """Key of a field value; adds the classical variables it mentions to
+    `names`, unless that is None."""
     if isinstance(x, _FORMAL):
-        return _intern(memo, x)[1]
+        _, token, sub = _intern(memo, x)
+        names.update(sub)
+        return token
     if isinstance(x, tuple):
-        return tuple(_tree_key(memo, y) for y in x)
+        return tuple(_tree_key(memo, y, names) for y in x)
     if is_dataclass(x):
-        return (type(x),) + tuple(_tree_key(memo, getattr(x, f.name))
+        if names is not None and isinstance(x, cl.EXPRS):
+            names |= cl.free_vars(x)
+            names = None  # the variables below are counted, bound ones left out
+        return (type(x),) + tuple(_tree_key(memo, getattr(x, f.name), names)
                                   for f in fields(x))
     return (type(x), repr(x))
 
 
 def _intern(memo, node):
     """(node, token, names) for a formal state or predicate; `names` are its
-    sorted classical variables.  The key of a node holds its children's
-    tokens, so each node is keyed once."""
+    sorted classical variables.  The key and the names of a node are built
+    from its children's entries, so each node is walked once."""
     entry = memo.get(id(node))
     if entry is None:
-        key = (type(node),) + tuple(_tree_key(memo, getattr(node, f.name))
+        names = set()
+        key = (type(node),) + tuple(_tree_key(memo, getattr(node, f.name), names)
                                     for f in fields(node))
         # tokens are memo sizes, which never repeat as the memo only grows
         token = memo.setdefault(("tree", key), len(memo))
-        names = tuple(sorted(qs.classical_vars(node)))
-        entry = memo[id(node)] = (node, token, names)
+        entry = memo[id(node)] = (node, token, tuple(sorted(names)))
     return entry
 
 
@@ -279,11 +290,10 @@ def _eval_state_node(sigma, s, interp, memo):
     if isinstance(s, STensor):
         v1, l1 = _eval_state(sigma, s.left, interp, memo)
         v2, l2 = _eval_state(sigma, s.right, interp, memo)
-        if set(l1.ids) & set(l2.ids):
-            raise NotWellDefined("overlapping signatures in tensor")
-        layout = la.union_layout(l1, l2, interp.order_key)
+        layout, dims, perm = _tensor_layout(l1, l2, interp, memo)
         vec = np.outer(v1, v2).ravel()
-        vec = la.embed_vector(vec, list(l1.ids) + list(l2.ids), layout)
+        if perm is not None:
+            vec = la.permute_vector(vec, dims, perm)
         return vec, layout
     if isinstance(s, Superpose):
         a1 = complex(cl.eval_expr(sigma, s.c1))
@@ -307,6 +317,33 @@ def _eval_state_node(sigma, s, interp, memo):
     raise AssertionError_("unknown formal state node %r" % (s,))
 
 
+def _tensor_layout(l1, l2, interp, memo):
+    """(layout, dims, perm) of a tensor of states on `l1` and `l2`: the union
+    layout, and the permutation of the product's factors (of dimensions
+    `dims`) into its order, None when they are in order.  Raises
+    NotWellDefined when the two overlap."""
+    key = ("tensor", id(l1), id(l2))
+    hit = None if memo is None else memo.get(key)
+    if hit is None:
+        sources = l1.ids + l2.ids
+        if len(set(sources)) < len(sources):
+            out = "overlapping signatures in tensor"
+        else:
+            layout = la.union_layout(l1, l2, interp.order_key)
+            perm = [sources.index(sid) for sid in layout.ids]
+            if perm == list(range(len(perm))):
+                perm = None
+            if memo is not None:
+                layout = memo.setdefault(("layout", layout.systems), layout)
+            out = (layout, l1.dims() + l2.dims(), perm)
+        hit = (l1, l2, out)  # holding l1 and l2 keeps their ids from reuse
+        if memo is not None:
+            memo[key] = hit
+    if isinstance(hit[2], str):
+        raise NotWellDefined(hit[2])
+    return hit[2]
+
+
 def eval_state(sigma, s, interp, norm_tol=1e-9, memo=None):
     """Evaluate a formal state; well-defined only at norm 1.  The vector
     is read-only when it comes from a memo."""
@@ -319,14 +356,32 @@ def eval_state(sigma, s, interp, norm_tol=1e-9, memo=None):
 
 @dataclass
 class EvalResult:
+    """A predicate's effect at one classical state.  Where the predicate has
+    a factor V (D x r, effect V V^dagger), `factor` holds it and `op`
+    builds the D x D effect only when it is asked for; otherwise `op` is
+    the effect, computed densely."""
+
     well_defined: bool
-    op: object = None
     layout: object = None
     reason: str = ""
+    factor: object = None
+    dense: object = None
+
+    @property
+    def op(self):
+        if self.dense is None and self.factor is not None:
+            v = self.factor  # one column: np.outer, as a projector always was
+            self.dense = (np.outer(v[:, 0], v[:, 0].conj()) if v.shape[1] == 1
+                          else v @ v.conj().T)
+        return self.dense
 
 
 def _eval_pred(sigma, a, interp, memo=None):
-    """Returns (op, layout); raises NotWellDefined."""
+    """A well-defined EvalResult, with a factor where the predicate has
+    one; raises NotWellDefined."""
+    if isinstance(a, StateProj):
+        vec, layout = eval_state(sigma, a.state, interp, memo=memo)
+        return EvalResult(True, layout, factor=vec[:, None])
     if isinstance(a, Atomic):
         fam = interp.predicate(a.name)
         params = tuple(cl.eval_expr(sigma, e) for e in a.params)
@@ -337,20 +392,21 @@ def _eval_pred(sigma, a, interp, memo=None):
         if dims != tuple(fam.dims):
             raise AssertionError_(
                 "predicate %s dimension mismatch" % a.name)
-        return la.embed(k, sids, layout), layout
-    if isinstance(a, StateProj):
-        vec, layout = eval_state(sigma, a.state, interp, memo=memo)
-        return np.outer(vec, vec.conj()), layout
+        return EvalResult(True, layout, dense=la.embed(k, sids, layout))
     if isinstance(a, Neg):
-        op, layout = _eval_pred(sigma, a.arg, interp, memo)
-        return np.eye(layout.dim, dtype=complex) - op, layout
+        r = _eval_pred(sigma, a.arg, interp, memo)
+        return EvalResult(True, r.layout,
+                          dense=np.eye(r.layout.dim, dtype=complex) - r.op)
     if isinstance(a, PTensor):
-        o1, l1 = _eval_pred(sigma, a.left, interp, memo)
-        o2, l2 = _eval_pred(sigma, a.right, interp, memo)
+        r1 = _eval_pred(sigma, a.left, interp, memo)
+        r2 = _eval_pred(sigma, a.right, interp, memo)
+        l1, l2 = r1.layout, r2.layout
         if set(l1.ids) & set(l2.ids):
             raise NotWellDefined("overlapping signatures in predicate tensor")
         layout = la.union_layout(l1, l2, interp.order_key)
-        return la.apply_left(o1, la.embed(o2, l2.ids, layout), l1.ids, layout), layout
+        o2 = la.embed(r2.op, l2.ids, layout)
+        return EvalResult(True, layout,
+                          dense=la.apply_left(r1.op, o2, l1.ids, layout))
     if isinstance(a, Kraus):
         sym = interp.kraus_symbol(a.name)
         if len(a.branches) != sym.rank:
@@ -359,15 +415,14 @@ def _eval_pred(sigma, a, interp, memo=None):
         params = tuple(cl.eval_expr(sigma, e) for e in a.params)
         ops = sym.operators(params, interp.tolerances)
         evs = [_eval_pred(sigma, b, interp, memo) for b in a.branches]
-        layout = evs[0][1]
-        for _, l in evs[1:]:
-            layout = la.union_layout(layout, l, interp.order_key)
-        mats = [la.embed(o, list(l.ids), layout) for o, l in evs]
+        layout = evs[0].layout
+        for r in evs[1:]:
+            layout = la.union_layout(layout, r.layout, interp.order_key)
         if sym.dims is None:
             out = np.zeros((layout.dim, layout.dim), dtype=complex)
-            for c, b in zip(ops, mats):
-                out += (abs(c) ** 2) * b
-            return out, layout
+            for c, r in zip(ops, evs):
+                out += (abs(c) ** 2) * la.embed(r.op, list(r.layout.ids), layout)
+            return EvalResult(True, layout, dense=out)
         sids = _resolve_distinct(interp, sigma, a.targets, "kraus targets")
         for sid in sids:
             if sid not in layout:
@@ -375,19 +430,24 @@ def _eval_pred(sigma, a, interp, memo=None):
         dims = tuple(layout.dim_of(s) for s in sids)
         if dims != tuple(sym.dims):
             raise AssertionError_("kraus symbol %s dimension mismatch" % a.name)
+        if all(r.factor is not None and r.layout.systems == layout.systems
+               for r in evs):
+            # E V per branch: the effect sum E V V^dagger E^dagger, factored
+            return EvalResult(True, layout, factor=np.hstack(
+                [la.apply_left(f, r.factor, sids, layout) for f, r in zip(ops, evs)]))
         out = np.zeros((layout.dim, layout.dim), dtype=complex)
-        for f, b in zip(ops, mats):
+        for f, r in zip(ops, evs):
+            b = la.embed(r.op, list(r.layout.ids), layout)
             out += la.conjugate(f, b, sids, layout)
-        return out, layout
+        return EvalResult(True, layout, dense=out)
     raise AssertionError_("unknown predicate node %r" % (a,))
 
 
 def eval_predicate(sigma, a, interp, memo=None):
     try:
-        op, layout = _eval_pred(sigma, a, interp, memo)
+        return _eval_pred(sigma, a, interp, memo)
     except NotWellDefined as e:
         return EvalResult(False, reason=e.reason)
-    return EvalResult(True, op=op, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +517,30 @@ class Domain:
         return {n: cl.type_to_json(t) for n, t in self.typing.items()}
 
 
-def _comparable(ra, rb, interp):
-    """Embed two well-defined results into their union layout."""
+def _loewner_le(ra, rb, interp):
+    """A <= B up to the psd tolerance, for two well-defined results: on
+    their factors when both have one on the same systems, else densely."""
+    tol = interp.tolerances.psd
+    if ra.factor is not None and rb.factor is not None and \
+            ra.layout.systems == rb.layout.systems:
+        return la.min_eig_difference(ra.factor, rb.factor) >= -tol
     layout = la.union_layout(ra.layout, rb.layout, interp.order_key)
     oa = la.embed(ra.op, list(ra.layout.ids), layout)
     ob = la.embed(rb.op, list(rb.layout.ids), layout)
-    return oa, ob
+    return la.is_psd(ob - oa, tol)
 
 
 def entails(phi, a, b, domain, interp, memo=None):
     """phi |= A <= B by exhaustive enumeration of the domain.
+
+    At each satisfying sigma, A and B must agree on well-definedness, and
+    where both are defined, B - A must be positive semidefinite up to
+    `interp.tolerances.psd`.  That is decided on the factors of A and B
+    when both have one on the same systems (a projector onto a formal
+    state, or a Kraus symbol with dimensions applied to such branches), on
+    an r x r matrix for r their summed ranks; Atomic, Neg, PTensor, scalar
+    Kraus symbols and branches on differing layouts are compared as dense
+    D x D effects.
 
     With a memo, the classical variables of A and B come from their memo
     entries, and A and B that are the same tree are reflexive: A is still
@@ -492,10 +566,7 @@ def entails(phi, a, b, domain, interp, memo=None):
         if ra.well_defined != rb.well_defined:
             return Verdict("fails", witness=sigma,
                            reason="well-definedness disagrees")
-        if not ra.well_defined:
-            continue
-        oa, ob = _comparable(ra, rb, interp)
-        if not la.is_psd(ob - oa, interp.tolerances.psd):
+        if ra.well_defined and not _loewner_le(ra, rb, interp):
             return Verdict("fails", witness=sigma, reason="Loewner order fails")
     return Verdict("holds", reason="%d states checked" % checked)
 

@@ -375,6 +375,13 @@ def _num_eq(a, b):
     return abs(complex(a) - complex(b)) <= FLOAT_EQ
 
 
+def _bool_operand(state, expr):
+    v = eval_expr(state, expr)
+    if not isinstance(v, bool):
+        raise EvalError("boolean operator on non-boolean value")
+    return v
+
+
 def eval_expr(state, expr):
     """Evaluate an expression in a classical state."""
     if isinstance(expr, Lit):
@@ -384,14 +391,13 @@ def eval_expr(state, expr):
     if isinstance(expr, BinOp):
         op = expr.op
         if op in _BOOL:
-            l = eval_expr(state, expr.left)
-            if not isinstance(l, bool):
-                raise EvalError("boolean operator on non-boolean value")
+            # short-circuits; each operand evaluated must be a boolean
+            l = _bool_operand(state, expr.left)
             if op == "and":
-                return bool(l) and bool(eval_expr(state, expr.right))
+                return l and _bool_operand(state, expr.right)
             if op == "or":
-                return bool(l) or bool(eval_expr(state, expr.right))
-            return (not l) or bool(eval_expr(state, expr.right))
+                return l or _bool_operand(state, expr.right)
+            return (not l) or _bool_operand(state, expr.right)
         l = eval_expr(state, expr.left)
         r = eval_expr(state, expr.right)
         if op in _CMP:

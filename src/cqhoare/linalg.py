@@ -198,6 +198,20 @@ def is_psd(a, eps=1e-9):
     return bool(w.min() >= -eps) if w.size else True
 
 
+def min_eig_difference(va, vb):
+    """Smallest eigenvalue of vb vb^dagger - va va^dagger, for factors with
+    the same D rows, without forming either D x D product.
+
+    With [va vb] = Q R (Q orthonormal), the difference is Q C Q^dagger for
+    C = Rb Rb^dagger - Ra Ra^dagger, where Ra and Rb are the columns of R
+    belonging to va and vb: it is zero off the span of Q, so its spectrum
+    is C's, plus zeros when Q has fewer than D columns."""
+    r = np.linalg.qr(np.hstack([va, vb]), mode="r")
+    ra, rb = r[:, :va.shape[1]], r[:, va.shape[1]:]
+    lo = float(np.linalg.eigvalsh(rb @ rb.conj().T - ra @ ra.conj().T).min())
+    return lo if r.shape[0] == va.shape[0] else min(lo, 0.0)
+
+
 def is_unitary(u, eps=1e-9):
     d = u.shape[0]
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(d))) <= eps)

@@ -725,13 +725,30 @@ def _witness_to_json(w):
 
 
 def _witness_from_json(d):
+    d = d or {}
+    if not isinstance(d, dict):
+        raise qs.ParseError("witnesses must be an object")
     out = {}
-    for k, v in (d or {}).items():
+    for k, v in d.items():
         if k == "t":
+            if not isinstance(v, str):
+                raise qs.ParseError("witness t is not an expression: %r" % (v,))
             out[k] = qs.parse_expr(v)
+        elif k in ("y", "z"):
+            out[k] = _variable_name(k, v)
         else:
             out[k] = v
     return out
+
+
+def _variable_name(k, v):
+    """`v` when it is a classical variable name; raises ParseError."""
+    try:
+        if isinstance(v, str) and qs.parse_expr(v) == cl.Var(v):
+            return v
+    except qs.ParseError:
+        pass
+    raise qs.ParseError("witness %s is not a variable name: %r" % (k, v))
 
 
 def node_to_json(n):

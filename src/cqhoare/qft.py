@@ -17,7 +17,7 @@ from . import prover as pv
 from .qsyntax import QVar, Gate, Seq, If, Skip
 from .assertions import CqAssertion, StateProj, Kraus
 
-MAX_N = 6
+MAX_N = 8
 
 
 def _q(i):

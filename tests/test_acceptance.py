@@ -40,7 +40,7 @@ def _bits(j, n):
 
 def test_criterion_1_qft_scripts_and_simulator_agree():
     start = time.perf_counter()
-    for n in (1, 2, 3, 4, 5):
+    for n in range(1, 7):
         interp = qft.qft_interpretation(n)
         program, script = qft.generate_qft(n)
         assert pv.check_script(script, interp).accepted, n
@@ -59,7 +59,7 @@ def test_criterion_1_qft_scripts_and_simulator_agree():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
     print("CRITERION 1 (transform scripts accepted, simulator agrees "
-          "within 1e-9 for n=1..5): PASS")
+          "within 1e-9 for n=1..6): PASS")
 
 
 def test_criterion_2_substitution_lemma_500_cases():

@@ -265,9 +265,10 @@ def test_assertion_json_roundtrip():
 # Evaluation memo
 
 
-def _and_ket(lit):
-    """|x < 2 and lit>_q1: equal as dataclasses for Lit(1) and Lit(True)."""
-    value = cl.BinOp("and", cl.BinOp("<", cl.Var("x"), cl.Lit(2)), lit)
+def _product_ket(lit):
+    """|(x < 2) * lit>_q1: equal as dataclasses for Lit(1) and Lit(True),
+    and both label |1> where x < 2 and |0> elsewhere."""
+    value = cl.BinOp("*", cl.BinOp("<", cl.Var("x"), cl.Lit(2)), lit)
     return StateProj(asrt.Ket(value, QVar("q1")))
 
 
@@ -286,7 +287,7 @@ def _counting_eval(monkeypatch):
 def test_reflexive_entailment_evaluates_one_side(monkeypatch):
     interp = interp2()
     dom = Domain({"x": cl.IntType(0, 3)})
-    a = _and_ket(cl.Lit(1))
+    a = _product_ket(cl.Lit(1))
     calls = _counting_eval(monkeypatch)
     plain = asrt.entails(cl.TRUE, a, a, dom, interp)
     assert len(calls) == 8
@@ -300,7 +301,7 @@ def test_reflexive_entailment_evaluates_one_side(monkeypatch):
 def test_memo_tells_literal_types_apart(monkeypatch):
     interp = interp2()
     dom = Domain({"x": cl.IntType(0, 3)})
-    one, true = _and_ket(cl.Lit(1)), _and_ket(cl.Lit(True))
+    one, true = _product_ket(cl.Lit(1)), _product_ket(cl.Lit(True))
     assert one == true  # dataclass equality merges them
     calls = _counting_eval(monkeypatch)
     memo = {}
@@ -367,3 +368,113 @@ def test_oversized_domain_is_inconclusive_without_listing_values(monkeypatch):
     p0 = Atomic("P0", (), (QVar("q1"),))
     v = asrt.entails(cl.BinOp("=", cl.Var("w"), cl.Var("x")), p0, p0, dom, interp)
     assert v.status == "inconclusive" and "exceeds cap" in v.reason
+
+
+# ---------------------------------------------------------------------------
+# Factored entailment
+
+Q1, Q2 = QVar("q1"), QVar("q2")
+
+
+def _proj(text):
+    return StateProj(asrt.parse_state(text))
+
+
+def _fb2(*branches):
+    return Kraus("FB2", (), (Q1,), branches)
+
+
+def _entailment_table():
+    """(A, B, whether A <= B, whether both sides have factors on the same
+    systems) for every predicate kind entailment meets."""
+    p0, p1, id1 = (Atomic(n, (), (Q1,)) for n in ("P0", "P1", "ID1"))
+    id12 = PTensor(id1, Atomic("ID1", (), (Q2,)))
+    p0_id = PTensor(p0, Atomic("ID1", (), (Q2,)))
+    zero_zero = _proj("|0>_q1 |0>_q2")
+    half = Kraus("WSUM1", (cl.Lit(0.5),), (), (_proj("|0>_q1"),))
+    split = _fb2(_proj("|0>_q1"), zero_zero)  # branches on differing layouts
+    plus = _proj("H[q1] (|0>_q1)")
+    f_h = Kraus("F_H", (), (Q1,), (_proj("|0>_q1"),))
+    return [
+        (p0, id1, True, False), (id1, p0, False, False),  # Atomic
+        (Neg(p1), p0, True, False), (p0, Neg(id1), False, False),  # Neg
+        (zero_zero, p0_id, True, False), (p0_id, zero_zero, False, False),
+        (half, _proj("|0>_q1"), True, False),  # scalar Kraus
+        (_proj("|0>_q1"), half, False, False),
+        (split, id12, True, False), (id12, split, False, False),
+        (zero_zero, _proj("|0>_q1"), True, False),  # differing systems
+        (_proj("|0>_q1"), zero_zero, False, False),
+        (plus, f_h, True, True), (f_h, plus, True, True),
+        (_proj("|1>_q1"), f_h, False, True),
+        (_fb2(_proj("|0>_q1"), _proj("|1>_q1")), _proj("|0>_q1"), True, True),
+        (_proj("|0>_q1"), _fb2(_proj("|1>_q1"), _proj("|0>_q1")), False, True),
+    ]
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+def test_entailment_verdicts_for_every_predicate_kind(memo):
+    interp = interp2()
+    for a, b, holds, _ in _entailment_table():
+        v = asrt.entails(cl.TRUE, a, b, Domain({}), interp, memo)
+        assert v.status == ("holds" if holds else "fails"), (a, b)
+
+
+def _forbid(monkeypatch, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("linalg call on the wrong path")
+    for name in names:
+        monkeypatch.setattr(la, name, forbidden)
+
+
+def test_fallback_kinds_are_compared_densely(monkeypatch):
+    interp = interp2()
+    _forbid(monkeypatch, "min_eig_difference")
+    for a, b, holds, factored in _entailment_table():
+        if not factored:
+            assert asrt.entails(cl.TRUE, a, b, Domain({}), interp).holds == holds
+
+
+def test_factored_kinds_build_no_dense_operator(monkeypatch):
+    interp = interp2()
+    pairs = [(a, b, holds) for a, b, holds, factored in _entailment_table()
+             if factored]
+    for a, b, _ in pairs:  # a Kraus symbol checks its operators on first use
+        asrt.entails(cl.TRUE, a, b, Domain({}), interp)
+    _forbid(monkeypatch, "embed", "is_psd")
+    for a, b, holds in pairs:
+        assert asrt.entails(cl.TRUE, a, b, Domain({}), interp).holds == holds
+
+
+def test_kraus_factor_stacks_its_branches():
+    interp = interp2()
+    r = evp(_fb2(_proj("|0>_q1"), _proj("|1>_q1")), interp)
+    assert r.factor.shape == (2, 2) and r.dense is None
+    assert np.allclose(r.op, np.diag([1.0, 0.0]))
+    r = evp(Kraus("F_CNOT", (), (Q1, Q2), (_proj("|1>_q1 |1>_q2"),)), interp)
+    assert r.factor.shape == (4, 1)
+    assert np.allclose(r.op, np.diag([0, 0, 1.0, 0]))
+
+
+def test_dense_effect_is_built_on_request():
+    interp = interp2()
+    r = evp(_proj("H[q1] (|0>_q1)"), interp)
+    assert r.dense is None
+    plus = np.array([1, 1]) / np.sqrt(2)
+    assert np.allclose(r.op, np.outer(plus, plus))
+    assert r.dense is r.op  # built once
+    r = evp(Atomic("P0", (), (Q1,)), interp)
+    assert r.factor is None and np.allclose(r.op, np.diag([1.0, 0.0]))
+
+
+def test_psd_tolerance_decides_on_the_factored_path(monkeypatch):
+    """|0><0| - |a><a| for |a> at angle t from |0> has eigenvalues +-sin t."""
+    interp = interp2()
+    t = cl.Lit(1e-6)
+    tilted = StateProj(asrt.Superpose(
+        cl.Call("cos", (t,)), asrt.Ket(cl.Lit(0), Q1),
+        cl.Call("sin", (t,)), asrt.Ket(cl.Lit(1), Q1)))
+    _forbid(monkeypatch, "embed", "is_psd")
+    dom = Domain({})
+    assert asrt.entails(cl.TRUE, tilted, _proj("|0>_q1"), dom, interp).status == "fails"
+    interp.tolerances = la.Tolerances(psd=1e-5)
+    assert asrt.entails(cl.TRUE, tilted, _proj("|0>_q1"), dom, interp).holds

@@ -162,3 +162,51 @@ def test_format_expr_parse_roundtrip():
                 "forall i in 0..3 . i <= x"):
         e = parse_formula(src)
         assert cl.formula_equal(parse_formula(format_expr(e)), e)
+
+
+def test_boolean_operators_check_every_operand_they_evaluate():
+    for src in ("true and 1", "1 and true", "false or 0", "0 or false",
+                "true -> 1", "1 -> true"):
+        with pytest.raises(cl.EvalError, match="non-boolean"):
+            ev(src)
+    # short circuit: the right operand is never evaluated
+    assert ev("false and 1") is False
+    assert ev("true or 1") is True
+    assert ev("false -> 1") is True
+
+
+def _eval_or_error(expr):
+    try:
+        return ("value", cl.eval_expr(cl.ClassicalState({}), expr))
+    except cl.EvalError:
+        return ("error", None)
+
+
+def _denormalize(e):
+    """A normal form back as an expression that `eval_expr` takes."""
+    if isinstance(e, cl._TypedLit):
+        return cl.Lit(e.value)
+    return cl.BinOp(e.op, _denormalize(e.left), _denormalize(e.right))
+
+
+_bool_int_trees = hst.recursive(
+    hst.sampled_from([True, False, 0, 1, 2]).map(cl.Lit),
+    lambda sub: hst.builds(cl.BinOp, hst.sampled_from(["and", "or"]), sub, sub),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_bool_int_trees)
+def test_and_or_regrouping_keeps_value_or_error(e):
+    """`normalize` regroups and/or chains; evaluation must not tell the
+    groupings apart, in the value or in raising."""
+    assert _eval_or_error(e) == _eval_or_error(_denormalize(cl.normalize(e)))
+
+
+def test_regrouped_mixed_operands_evaluate_alike():
+    left = parse_formula("(true and 1) and true")
+    right = parse_formula("true and (1 and true)")
+    assert cl.formula_equal(left, right)
+    for f in (left, right):
+        with pytest.raises(cl.EvalError):
+            cl.satisfies(cl.ClassicalState({}), f)

@@ -57,6 +57,17 @@ def test_run_while_true_residual(capsys, files):
     assert abs(doc["residual_trace"] - 1.0) < 1e-9
 
 
+def _qft_interp_file(tmp_path, n):
+    path = tmp_path / ("qft%d.json" % n)
+    path.write_text(json.dumps({
+        "classical_vars": {"j": {"kind": "bits", "lo": 1, "hi": n},
+                           "n": {"kind": "int", "lo": n, "hi": n}},
+        "quantum_vars": {"q": {"dim": 2,
+                               "indices": [{"kind": "int", "lo": 1, "hi": n}]}},
+    }))
+    return path
+
+
 def test_check_exit_codes(capsys, tmp_path):
     good = tmp_path / "good.json"
     _, script = qft.generate_qft(2)
@@ -64,17 +75,39 @@ def test_check_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     _, mutant = hz.qft_mutant(2)
     bad.write_text(json.dumps(pv.node_to_json(mutant)))
-    interp = tmp_path / "qft2.json"
-    interp.write_text(json.dumps({
-        "classical_vars": {"j": {"kind": "bits", "lo": 1, "hi": 2},
-                           "n": {"kind": "int", "lo": 2, "hi": 2}},
-        "quantum_vars": {"q": {"dim": 2,
-                               "indices": [{"kind": "int", "lo": 1, "hi": 2}]}},
-    }))
+    interp = _qft_interp_file(tmp_path, 2)
     code, doc, _ = run_cli(capsys, "--interp", str(interp), "check", str(good))
     assert code == 0 and doc["status"] == "accepted"
     code, doc, _ = run_cli(capsys, "--interp", str(interp), "check", str(bad))
     assert code == 1 and doc["status"] == "rejected"
+
+
+@pytest.mark.parametrize("witnesses", [
+    {"y": [1]}, {"z": {"name": "y"}}, {"y": "not a name"}, {"z": "and"},
+    {"y": ""}, {"t": 5}, ["y"]])
+def test_malformed_witness_exits_3(capsys, tmp_path, witnesses):
+    doc = pv.node_to_json(qft.generate_qft(1)[1])
+    doc["witnesses"] = witnesses
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(doc))
+    interp = _qft_interp_file(tmp_path, 1)
+    assert cli.main(["--interp", str(interp), "check", str(script)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "witness" in err
+
+
+def test_examples_qft_size_range(capsys, monkeypatch):
+    """n = 8 is the largest QFT example, and its script is checked; its
+    forward fuzz, 256 classical states of 276 inputs at D = 256, is out of
+    a unit test's reach, so it is replaced by a consistent empty report."""
+    def fuzz(triple, interp, cfg):
+        return hz.FuzzReport(triple, triple.mode, [], "consistent", 0.0, cfg)
+
+    monkeypatch.setattr(hz, "fuzz_triple", fuzz)
+    code, doc, _ = run_cli(capsys, "examples", "qft", "--n", "8")
+    assert code == 0 and doc["check"]["status"] == "accepted"
+    code, doc, err = run_cli(capsys, "examples", "qft", "--n", "9")
+    assert code == 3 and doc is None and "between 1 and 8" in err
 
 
 def test_examples_qft(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from cqhoare import linalg as la
 
@@ -156,3 +157,33 @@ def test_stacked_kernel_equals_member_by_member():
                           [la.trace_product(a, m) for m in stack])
     with pytest.raises(la.LayoutError):
         la.DensityOperator(lay, stack[:, :, :6])
+
+
+def _factor(rng, d, r):
+    return rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), d=hst.integers(2, 16),
+       ra=hst.integers(1, 2), rb=hst.integers(1, 2),
+       near=hst.sampled_from([None, 1e-3, 1e-6, 1e-9, 1e-12]),
+       tol=hst.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_factored_difference_matches_dense(seed, d, ra, rb, near, tol):
+    """lambda_min(Vb Vb^dagger - Va Va^dagger) from the factors equals the
+    dense one to 1e-12, and so does the psd decision.  `near` draws a
+    rank-one pair b = s (a + near w), with s within `near` of 1."""
+    rng = np.random.default_rng(seed)
+    va = _factor(rng, d, ra) / np.sqrt(d)
+    if near is None:
+        vb = _factor(rng, d, rb) / np.sqrt(d)
+    else:
+        va = va[:, :1] / np.linalg.norm(va[:, :1])
+        w = _factor(rng, d, 1) / np.sqrt(d)
+        s = 1 + near * rng.uniform(-1, 1)
+        vb = s * (va + near * w)
+    diff = vb @ vb.conj().T - va @ va.conj().T
+    dense = float(np.linalg.eigvalsh(diff).min())
+    factored = la.min_eig_difference(va, vb)
+    assert abs(factored - dense) <= 1e-12
+    if abs(dense + tol) > 1e-12:  # off the threshold, where rounding decides
+        assert (factored >= -tol) == la.is_psd(diff, tol)
