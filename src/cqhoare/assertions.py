@@ -122,39 +122,6 @@ def superpose_sum(terms):
 
 
 # ---------------------------------------------------------------------------
-# Signatures
-
-
-def sig_state(s):
-    if isinstance(s, Ket):
-        return frozenset([s.qvar])
-    if isinstance(s, STensor):
-        return sig_state(s.left) | sig_state(s.right)
-    if isinstance(s, Superpose):
-        return sig_state(s.s1) | sig_state(s.s2)
-    if isinstance(s, GateApp):
-        return sig_state(s.state)
-    raise AssertionError_("unknown formal state node %r" % (s,))
-
-
-def sig(a):
-    if isinstance(a, Atomic):
-        return frozenset(a.targets)
-    if isinstance(a, StateProj):
-        return sig_state(a.state)
-    if isinstance(a, Neg):
-        return sig(a.arg)
-    if isinstance(a, PTensor):
-        return sig(a.left) | sig(a.right)
-    if isinstance(a, Kraus):
-        out = frozenset()
-        for b in a.branches:
-            out |= sig(b)
-        return out
-    raise AssertionError_("unknown predicate node %r" % (a,))
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 
@@ -512,9 +479,6 @@ class Domain:
             return list(self.states(names))
         except cl.EvalError as e:
             return Verdict("inconclusive", reason=str(e))
-
-    def to_json(self):
-        return {n: cl.type_to_json(t) for n, t in self.typing.items()}
 
 
 def _loewner_le(ra, rb, interp):

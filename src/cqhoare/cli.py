@@ -60,7 +60,7 @@ def _load_state(path, interp):
     elif "matrix" in rho:
         mat = np.array([[complex(re, im) for re, im in row]
                         for row in rho["matrix"]])
-        dop = la.DensityOperator(layout, mat).validate()
+        dop = la.DensityOperator(layout, mat).validate(interp.tolerances)
     else:
         dop = la.pure_state(la.basis_vector(0, layout.dim), layout)
     return sem.CqState(sigma, dop)

@@ -148,12 +148,9 @@ def fuzz_triple(triple, interp, cfg=None):
 
     try:
         layout = interp.make_layout(interp.all_systems())
-    except st.InterpError as e:
+    except (st.InterpError, la.DimensionCapError) as e:
         return FuzzReport(triple, triple.mode, [], "inconclusive", 0.0, cfg,
                           reason=str(e))
-    if layout.dim > la.DIM_CAP:
-        return FuzzReport(triple, triple.mode, [], "inconclusive", 0.0, cfg,
-                          reason="ambient dimension exceeds the cap")
 
     size = cl.domain_size(domain.typing, names)
     sampled = size is None or size > EXHAUSTIVE_SIGMA_CAP

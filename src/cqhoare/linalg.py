@@ -49,6 +49,10 @@ class LayoutError(ValueError):
     pass
 
 
+class DimensionCapError(LayoutError):
+    """A well-formed layout whose total dimension exceeds DIM_CAP."""
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered collection of systems; the order is the kron order."""
@@ -64,7 +68,7 @@ class RegisterLayout:
                 raise LayoutError("dimension must be positive")
             seen.add(sid)
         if self.dim > DIM_CAP:
-            raise LayoutError(
+            raise DimensionCapError(
                 "total dimension %d exceeds cap %d" % (self.dim, DIM_CAP)
             )
 
@@ -90,10 +94,6 @@ class RegisterLayout:
 
     def __contains__(self, sid):
         return any(s == sid for s, _ in self.systems)
-
-    def restrict(self, sids):
-        keep = set(sids)
-        return RegisterLayout(tuple(p for p in self.systems if p[0] in keep))
 
 
 def union_layout(a, b, order_key=None):

@@ -17,6 +17,7 @@ import numpy as np
 from . import classical as cl
 from . import linalg as la
 from . import qsyntax as qs
+from . import structures as st
 from . import assertions as asrt
 from .assertions import CqAssertion, Kraus, Verdict, Domain
 
@@ -149,7 +150,7 @@ def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
     if f.dims is None and fp.dims is None:
         cs = f.operators(params_values, interp.tolerances)
         cp = fp.operators(params_values, interp.tolerances)[0]
-        if abs(cp) < 1e-15:
+        if abs(cp) < cl.FLOAT_EQ:
             ok = all(abs(c) < cl.FLOAT_EQ for c in cs)
             return Verdict("holds" if ok else "fails",
                            reason="scalar comparison")
@@ -160,7 +161,7 @@ def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
     ops = f.operators(params_values, interp.tolerances)
     w = fp.operators(params_values, interp.tolerances)[0]
     denom = np.vdot(w, w)
-    tier_a = abs(denom) > 1e-15
+    tier_a = abs(denom) > cl.FLOAT_EQ
     lambdas = []
     if tier_a:
         for fi in ops:
@@ -217,17 +218,32 @@ def _check_ass(node, interp, domain, memo):
     return NodeVerdict("accepted")
 
 
+def axiom_pre(program, post_a, dim=None, y=None):
+    """The Init, Uni or Meas precondition of `post_a`: the designated symbol
+    of `program` (on a target of dimension `dim`, or with outcome variable
+    `y`) applied to it."""
+    if isinstance(program, qs.Init):
+        return Kraus(st.designated_name("init", dim), (), (program.qvar,),
+                     (post_a,) * dim)
+    if isinstance(program, qs.Gate):
+        return Kraus(st.designated_name("family", program.name),
+                     program.params, program.targets, (post_a,))
+    return Kraus(st.designated_name("family", program.meas), (cl.Var(y),),
+                 program.targets,
+                 (asrt.subst_predicate(post_a, cl.Var(y), program.var),))
+
+
 def _check_init(node, interp, domain, memo):
     t = node.conclusion
     if not isinstance(t.program, qs.Init):
         return _reject("program is not an initialization")
     if not cl.formula_equal(t.pre.phi, t.post.phi):
         return _reject("classical parts must match")
-    dim = interp.decl_of(t.program.qvar.name).dim
-    fb = interp.fb_name(dim)
-    want = Kraus(fb, (), (t.program.qvar,), (t.post.a,) * dim)
+    want = axiom_pre(t.program, t.post.a,
+                     dim=interp.decl_of(t.program.qvar.name).dim)
     if not asrt.pred_equal(t.pre.a, want):
-        return _reject("precondition is not %s applied to the postcondition" % fb)
+        return _reject("precondition is not %s applied to the postcondition"
+                       % want.name)
     return NodeVerdict("accepted")
 
 
@@ -238,11 +254,10 @@ def _check_uni(node, interp, domain, memo):
     if not cl.formula_equal(t.pre.phi, t.post.phi):
         return _reject("classical parts must match")
     interp.gate(t.program.name)
-    want = Kraus("F_" + t.program.name, t.program.params,
-                 t.program.targets, (t.post.a,))
+    want = axiom_pre(t.program, t.post.a)
     if not asrt.pred_equal(t.pre.a, want):
-        return _reject("precondition is not F_%s applied to the postcondition"
-                       % t.program.name)
+        return _reject("precondition is not %s applied to the postcondition"
+                       % want.name)
     return NodeVerdict("accepted")
 
 
@@ -262,11 +277,10 @@ def _check_meas(node, interp, domain, memo):
     if not cl.formula_equal(t.pre.phi, cl.subst(phi, cl.Var(y), x)):
         return _reject("precondition formula is not phi[y/x]")
     interp.measurement(t.program.meas)
-    want = Kraus("F_" + t.program.meas, (cl.Var(y),), t.program.targets,
-                 (asrt.subst_predicate(t.post.a, cl.Var(y), x),))
+    want = axiom_pre(t.program, t.post.a, y=y)
     if not asrt.pred_equal(t.pre.a, want):
-        return _reject("quantum precondition is not F_%s(y) applied to A[y/x]"
-                       % t.program.meas)
+        return _reject("quantum precondition is not %s(y) applied to A[y/x]"
+                       % want.name)
     return NodeVerdict("accepted")
 
 
@@ -570,14 +584,14 @@ def _check_convex1(node, interp, domain, memo):
     sym, err = _accum_common(node, interp)
     if err:
         return err
-    if sym.dims is not None or sym.name != "WSUM%d" % k:
+    if sym.dims is not None or sym.name != st.designated_name("wsum", k):
         return _reject("conclusion must use the scalar weighted-sum symbol")
     ws = _weights_of(node, k, interp)
     if ws is None:
         return _reject("invalid or missing probability weights")
     if not _params_close(t.pre.a.params, ws):
         return _reject("symbol parameters do not match the weights")
-    if not isinstance(t.post.a, Kraus) or t.post.a.name != "WSUM1":
+    if not isinstance(t.post.a, Kraus) or t.post.a.name != st.designated_name("wsum", 1):
         return _reject("postcondition must scale by the maximal weight")
     if not _params_close(t.post.a.params, [max(ws)]):
         return _reject("postcondition weight is not the maximum")
@@ -606,7 +620,7 @@ def _check_convex2(node, interp, domain, memo):
     sym, err = _accum_common(node, interp)
     if err:
         return err
-    if sym.dims is not None or sym.name != "WSUM%d" % k:
+    if sym.dims is not None or sym.name != st.designated_name("wsum", k):
         return _reject("conclusion must use the scalar weighted-sum symbol")
     ws = _weights_of(node, k, interp)
     if ws is None:
@@ -672,6 +686,8 @@ def check_node(node, interp, domain=None, memo=None):
         domain = _domain_for(node, interp)
     try:
         return checker(node, interp, domain, memo)
+    except la.DimensionCapError as e:
+        return NodeVerdict("inconclusive", "too large to decide: %s" % e)
     except (cl.EvalError, la.LayoutError, ValueError) as e:
         return _reject("error while checking: %s" % e)
 

@@ -15,7 +15,7 @@ from . import structures as st
 from . import assertions as asrt
 from . import prover as pv
 from .qsyntax import QVar, Gate, Seq, If, Skip
-from .assertions import CqAssertion, StateProj, Kraus
+from .assertions import CqAssertion, StateProj
 
 MAX_N = 8
 
@@ -83,10 +83,6 @@ def generate_qft_recursive(n):
 # Formal-state bookkeeping for the proof script
 
 
-def _ket(i):
-    return asrt.Ket(cl.BitIndex("j", cl.Lit(i)), _q(i))
-
-
 def _half():
     return cl.BinOp("/", cl.Lit(1), cl.Call("sqrt", (cl.Lit(2),)))
 
@@ -98,10 +94,6 @@ def _psi(wire, lo, hi):
                              (cl.BinFrac("j", cl.Lit(lo), cl.Lit(hi)),)))
     return asrt.Superpose(_half(), asrt.Ket(cl.Lit(0), _q(wire)),
                           phase, asrt.Ket(cl.Lit(1), _q(wire)))
-
-
-def input_state(n):
-    return asrt.tensor_all([_ket(i) for i in range(1, n + 1)])
 
 
 def output_state(n):
@@ -162,8 +154,7 @@ def generate_qft(n):
         g = gates[i]
         pre = CqAssertion(cl.TRUE, StateProj(states[i]))
         post = CqAssertion(cl.TRUE, StateProj(states[i + 1]))
-        uni_pre = CqAssertion(
-            cl.TRUE, Kraus("F_" + g.name, g.params, g.targets, (post.a,)))
+        uni_pre = CqAssertion(cl.TRUE, pv.axiom_pre(g, post.a))
         uni = pv.ProofNode("Uni", pv.HoareTriple(uni_pre, g, post))
         return pv.ProofNode("Conseq", pv.HoareTriple(pre, g, post), (uni,))
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical as cl
-from . import linalg as la
 from . import qsyntax as qs
 from .linalg import DensityOperator
+from .structures import init_operators
 
 BRANCH_CAP = 10 ** 6
 
@@ -62,21 +62,6 @@ class OutcomeMultiset:
         return sum(c.state.trace() for c in self.residual)
 
 
-def _init_channel(rho, sid):
-    """sum_n |0><n| rho |n><0| on system `sid`."""
-    d = rho.layout.dim_of(sid)
-    zero = la.basis_vector(0, d)
-    out = sum(rho.apply(np.outer(zero, la.basis_vector(n, d)), [sid]).mat
-              for n in range(d))
-    return DensityOperator(rho.layout, out)
-
-
-def _distinct_targets(interp, sigma, targets):
-    """Resolved target systems, or None when two of them coincide."""
-    sids = [interp.resolve(sigma, q) for q in targets]
-    return sids if len(set(sids)) == len(sids) else None
-
-
 def _atomic(p, state, interp):
     """Successor states of an atomic statement, in outcome order, or None
     when a distinctness premise fails and the statement is blocked.
@@ -95,27 +80,36 @@ def _atomic(p, state, interp):
                 "assignment of %r to %s leaves its declared type" % (v, p.var))
         return [CqState(sigma.update(p.var, v), rho)]
     if isinstance(p, qs.Init):
-        return [CqState(sigma, _init_channel(rho, interp.resolve(sigma, p.qvar)))]
-    if isinstance(p, qs.Gate):
-        gate = interp.gate(p.name)
-        sids = _distinct_targets(interp, sigma, p.targets)
-        if sids is None:
-            return None
-        dims = tuple(rho.layout.dim_of(s) for s in sids)
-        if dims != tuple(gate.dims):
-            raise SemanticsError("gate %s expects dimensions %s, got %s"
-                                 % (gate.name, gate.dims, dims))
+        fam, targets = None, (p.qvar,)
+    elif isinstance(p, qs.Gate):
+        fam, targets = interp.gate(p.name), p.targets
+    elif isinstance(p, qs.Measure):
+        fam, targets = interp.measurement(p.meas), p.targets
+    else:
+        raise SemanticsError("unknown program node %r" % (p,))
+    sids = [interp.resolve(sigma, q) for q in targets]
+    if len(set(sids)) < len(sids):
+        return None
+    dims = tuple(rho.layout.dim_of(s) for s in sids)
+    want = (interp.dim_of(sids[0]),) if fam is None else tuple(fam.dims)
+    if dims != want:
+        raise SemanticsError("%s expects dimensions %s, got %s"
+                             % (qs.pretty(p), want, dims))
+    if fam is None:
+        branches = [(sigma, init_operators(dims[0]))]
+    elif isinstance(p, qs.Gate):
         params = tuple(cl.eval_expr(sigma, e) for e in p.params)
-        u = gate.matrix(params, interp.tolerances)
-        return [CqState(sigma, rho.apply(u, sids))]
-    if isinstance(p, qs.Measure):
-        meas = interp.measurement(p.meas)
-        sids = _distinct_targets(interp, sigma, p.targets)
-        if sids is None:
-            return None
-        return [CqState(sigma.update(p.var, m), rho.apply(op, sids))
-                for m, op in meas.operators.items()]
-    raise SemanticsError("unknown program node %r" % (p,))
+        branches = [(sigma, [fam.matrix(params, interp.tolerances)])]
+    else:
+        branches = [(sigma.update(p.var, m), [op])
+                    for m, op in fam.operators.items()]
+    out = []
+    for s, ops in branches:  # sum_i E_i rho E_i^dagger
+        rhos = [rho.apply(e, sids) for e in ops]
+        # a sum would turn a lone operator's negative zeros positive
+        out.append(CqState(s, rhos[0] if len(rhos) == 1 else DensityOperator(
+            rho.layout, sum(r.mat for r in rhos))))
+    return out
 
 
 @dataclass

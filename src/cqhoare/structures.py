@@ -8,13 +8,14 @@ sub-normalized: sum_i F_i F_i^dagger <= I.  The designated symbols are:
   gate U          F_<U>   single operator U(params)^dagger
   measurement M   F_<M>   parameterized by outcome m, operator M_m^dagger
 
-With these choices the predicate action of each designated symbol is the
-adjoint (Heisenberg picture) of the corresponding state transformer, and
-sub-normalization holds for all three.
+Each is the adjoint of its statement's Kraus operators, so its predicate
+action is the Heisenberg-picture adjoint of the state transformer and it is
+sub-normalized.  They and WSUM<k> are derived on lookup; no user may define one.
 """
 
 from dataclasses import InitVar, dataclass, field
 import math
+import re
 
 import numpy as np
 
@@ -186,57 +187,29 @@ class QuantumVarDecl:
 
 
 # ---------------------------------------------------------------------------
-# Designated symbol derivation
+# Designated symbols: each is the adjoint of its statement's Kraus operators
 
 
-def derive_fb(basis, name="FB"):
-    """Initialization symbol for an ordered orthonormal basis.
-
-    The i-th operator is |b_i><b_0|, the adjoint of the basis-notation
-    family: conjugating a predicate by these gives the Heisenberg-picture
-    action of initialization, and sum_i F_i F_i^dagger = I exactly.
-    """
-    b = np.asarray(basis, dtype=complex)
-    d = b.shape[1]
-    if b.shape[0] != d:
-        raise InterpError("basis must be square (columns are basis vectors)")
-    if np.max(np.abs(b.conj().T @ b - np.eye(d))) > 1e-10:
-        raise InterpError("basis is not orthonormal")
-    cols = [b[:, i] for i in range(d)]
-    ops = [np.outer(cols[i], cols[0].conj()) for i in range(d)]
-    return KrausSymbol(name, d, (), (d,), lambda ops=ops: list(ops))
+def init_operators(d):
+    """Kraus operators |0><n| of initialization; real: no -0.0 in adjoints."""
+    eye = np.eye(d)
+    return [np.outer(eye[0], eye[n]) for n in range(d)]
 
 
-def derive_fu(gate):
-    def make(*params):
-        return [gate.matrix(params).conj().T]
-
-    return KrausSymbol("F_" + gate.name, 1, gate.param_types, gate.dims, make)
+_DESIGNATED = re.compile(r"F_(.+)|FB([1-9][0-9]*)|WSUM([1-9][0-9]*)")
 
 
-def derive_fm(meas):
-    def make(m):
-        if m not in meas.operators:
-            raise InterpError(
-                "measurement %s has no outcome %r" % (meas.name, m))
-        return [meas.operators[m].conj().T]
-
-    return KrausSymbol("F_" + meas.name, 1, (meas.outcome_type,), meas.dims, make)
+def designated_name(kind, arg):
+    """F_<name>, FB<dim> or WSUM<count>, for kind "family", "init", "wsum"."""
+    return {"family": "F_%s", "init": "FB%d", "wsum": "WSUM%d"}[kind] % arg
 
 
-def weighted_sum_symbol(k):
-    """Scalar symbol WSUM<k>: operators sqrt(p_i); realizes sum_i p_i A_i."""
-
-    def make(*ps):
-        out = []
-        for p in ps:
-            p = float(p)
-            if p < -1e-12:
-                raise InterpError("negative weight %r" % p)
-            out.append(complex(math.sqrt(max(p, 0.0))))
-        return out
-
-    return KrausSymbol("WSUM%d" % k, k, (cl.RealType(),) * k, None, make)
+def _sqrt_weight(p):
+    """sqrt(p) for a weight p >= 0, up to rounding; raises when negative."""
+    p = float(p)
+    if p < -1e-12:
+        raise InterpError("negative weight %r" % p)
+    return complex(math.sqrt(max(p, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +338,11 @@ class Interpretation:
     def __post_init__(self):
         if "M" not in self.measurements:
             self.measurements.setdefault("M", computational_measurement("M", 1))
-        # designated symbols for everything registered
-        for g in list(self.gates.values()):
-            self.kraus.setdefault("F_" + g.name, derive_fu(g))
-        for m in list(self.measurements.values()):
-            self.kraus.setdefault("F_" + m.name, derive_fm(m))
-        for d in (1, 2, 4, 8, 16):
-            self.kraus.setdefault("FB%d" % d, derive_fb(np.eye(d), "FB%d" % d))
-        for k in range(1, 9):
-            self.kraus.setdefault("WSUM%d" % k, weighted_sum_symbol(k))
+        self._designated = {}  # name -> derived symbol, None if not designated
+        for name in self.kraus:
+            if self._derive(name):
+                raise InterpError("kraus symbol %s: the name is reserved for "
+                                  "a designated symbol" % name)
         self._order = {name: i for i, name in enumerate(self.quantum_vars)}
 
     # -- declarations
@@ -458,22 +427,44 @@ class Interpretation:
         return m
 
     def kraus_symbol(self, name):
-        f = self.kraus.get(name)
+        """A designated symbol, derived from its statement on first lookup,
+        or a user symbol from `kraus`."""
+        if name not in self._designated:
+            self._designated[name] = self._derive(name)
+        f = self._designated[name] or self.kraus.get(name)
         if f is None:
             raise InterpError("unknown Kraus symbol %r" % name)
         return f
+
+    def _derive(self, name):
+        """The designated symbol called `name`, or None."""
+        m = _DESIGNATED.fullmatch(name)
+        fam, d, k = m.groups() if m else (None, None, None)
+        gate, meas = self.gates.get(fam), self.measurements.get(fam)
+        if d:
+            d = int(d)
+            return KrausSymbol(name, d, (), (d,),
+                               lambda: [e.conj().T for e in init_operators(d)])
+        if k:  # scalar operators sqrt(p_i): realizes sum_i p_i A_i
+            k = int(k)
+            return KrausSymbol(name, k, (cl.RealType(),) * k, None,
+                               lambda *ps: [_sqrt_weight(p) for p in ps])
+        if gate:
+            return KrausSymbol(name, 1, gate.param_types, gate.dims, lambda *ps:
+                               [gate.matrix(ps, self.tolerances).conj().T])
+        if meas:
+            def make(m):
+                if m not in meas.operators:
+                    raise InterpError("measurement %s has no outcome %r" % (fam, m))
+                return [meas.operators[m].conj().T]
+            return KrausSymbol(name, 1, (meas.outcome_type,), meas.dims, make)
+        return None
 
     def predicate(self, name):
         k = self.predicates.get(name)
         if k is None:
             raise InterpError("unknown atomic predicate %r" % name)
         return k
-
-    def fb_name(self, dim):
-        name = "FB%d" % dim
-        if name not in self.kraus:
-            self.kraus[name] = derive_fb(np.eye(dim), name)
-        return name
 
 
 def default_interpretation():
@@ -493,40 +484,27 @@ def _mat_from_json(rows):
     return np.array([[c(e) for e in row] for row in rows], dtype=complex)
 
 
-def mat_to_json(m):
-    return [[[float(e.real), float(e.imag)] for e in row] for row in np.asarray(m, dtype=complex)]
-
-
 def load_interpretation(doc):
     """Build an Interpretation from its JSON document, starting from the
     built-in registries."""
-    interp = Interpretation(tolerances=Tolerances.from_dict(doc.get("tolerances", {})))
-    for name, spec in doc.get("classical_vars", {}).items():
-        interp.declare_classical(name, cl.type_from_json(spec))
-    for name, spec in doc.get("quantum_vars", {}).items():
-        idx = spec.get("indices")
-        interp.declare_quantum(
-            name,
-            dim=int(spec.get("dim", 2)),
-            index_types=[cl.type_from_json(t) for t in idx] if idx else None,
-        )
+    tol = Tolerances.from_dict(doc.get("tolerances", {}))
+    gates, measurements, kraus = builtin_gates(), {}, {}
     for name, spec in doc.get("gates", {}).items():
         if "builder" in spec:
             base = builtin_gates().get(spec["builder"])
             if base is None:
                 raise InterpError("unknown gate builder %r" % spec["builder"])
-            interp.gates[name] = GateFamily(name, base.param_types, base.dims, base.make)
+            gates[name] = GateFamily(name, base.param_types, base.dims, base.make)
         else:
             m = _mat_from_json(spec["matrix"])
             k = int(math.log2(m.shape[0])) if m.shape[0] > 1 else 1
             dims = tuple(spec.get("dims", (2,) * k))
             g = GateFamily(name, (), dims, lambda m=m: m)
-            g.matrix(())  # eager unitarity check
-            interp.gates[name] = g
-        interp.kraus["F_" + name] = derive_fu(interp.gates[name])
+            g.matrix((), tol)  # eager unitarity check
+            gates[name] = g
     for name, spec in doc.get("measurements", {}).items():
         if spec.get("builder") == "computational":
-            interp.measurements[name] = computational_measurement(
+            measurements[name] = computational_measurement(
                 name, int(spec.get("qubits", 1)))
         else:
             ops = {}
@@ -538,19 +516,28 @@ def load_interpretation(doc):
                 ops[out] = _mat_from_json(rows)
             otype = cl.type_from_json(spec["outcome"])
             dims = tuple(spec.get("dims", (2,)))
-            interp.measurements[name] = MeasurementFamily(
-                name, otype, dims, ops, interp.tolerances)
-        interp.kraus["F_" + name] = derive_fm(interp.measurements[name])
+            measurements[name] = MeasurementFamily(name, otype, dims, ops, tol)
     for name, spec in doc.get("kraus_symbols", {}).items():
         ops = [_mat_from_json(rows) for rows in spec["operators"]]
         dims = tuple(spec.get("dims", (ops[0].shape[0],)))
         sym = KrausSymbol(name, len(ops), (), dims, lambda ops=ops: list(ops))
-        sym.operators(())  # eager sub-normalization check
-        interp.kraus[name] = sym
+        sym.operators((), tol)  # eager sub-normalization check
+        kraus[name] = sym
+    interp = Interpretation(gates=gates, measurements=measurements,
+                            kraus=kraus, tolerances=tol)
+    for name, spec in doc.get("classical_vars", {}).items():
+        interp.declare_classical(name, cl.type_from_json(spec))
+    for name, spec in doc.get("quantum_vars", {}).items():
+        idx = spec.get("indices")
+        interp.declare_quantum(
+            name,
+            dim=int(spec.get("dim", 2)),
+            index_types=[cl.type_from_json(t) for t in idx] if idx else None,
+        )
     for name, spec in doc.get("atomic_predicates", {}).items():
         m = _mat_from_json(spec["matrix"])
         dims = tuple(spec.get("dims", (m.shape[0],)))
         ap = AtomicPredicate(name, (), dims, lambda m=m: m)
-        ap.matrix(())  # eager effect check
+        ap.matrix((), tol)  # eager effect check
         interp.predicates[name] = ap
     return interp

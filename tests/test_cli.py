@@ -3,9 +3,14 @@ import json
 import pytest
 
 from cqhoare import cli
+from cqhoare import classical as cl
+from cqhoare import qsyntax as qs
+from cqhoare import assertions as asrt
 from cqhoare import prover as pv
 from cqhoare import harness as hz
 from cqhoare import qft
+from cqhoare.assertions import Atomic, CqAssertion, Kraus, StateProj
+from cqhoare.qsyntax import QVar
 
 
 @pytest.fixture()
@@ -170,3 +175,76 @@ def test_fuzz_subcommand(capsys, tmp_path):
                            "--samples", "5", "--seed", "3")
     assert code == 0
     assert doc["verdict"] == "consistent"
+
+
+def _uni_probe(tmp_path, kraus_symbols):
+    """{true, P0[q1]} H[q1] {true, P0[q1]} by Conseq over the Uni axiom,
+    under an interpretation declaring `kraus_symbols`."""
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps({"quantum_vars": {"q1": {"dim": 2}},
+                                  "kraus_symbols": kraus_symbols}))
+    p0 = Atomic("P0", (), (QVar("q1"),))
+    prog = qs.Gate("H", (), (QVar("q1"),))
+    post = CqAssertion(cl.TRUE, p0)
+    uni = pv.ProofNode("Uni", pv.HoareTriple(
+        CqAssertion(cl.TRUE, Kraus("F_H", (), (QVar("q1"),), (p0,))), prog, post))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(pv.node_to_json(pv.ProofNode(
+        "Conseq", pv.HoareTriple(post, prog, post), (uni,)))))
+    return str(interp), str(script)
+
+
+@pytest.mark.parametrize("name", ["F_H", "F_M", "FB2", "WSUM2"])
+def test_user_symbol_with_a_designated_name_exits_3(capsys, tmp_path, name):
+    # with F_H the identity, the Uni axiom would prove P0 invariant under H
+    identity = [[1, 0], [0, 1]]
+    interp, script = _uni_probe(tmp_path, {name: {"operators": [identity]}})
+    assert cli.main(["--interp", interp, "check", script]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "reserved" in err
+
+
+def test_entail_resolves_an_init_symbol_of_any_dimension(capsys, tmp_path):
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps({"quantum_vars": {"t": {"dim": 3}}}))
+    t = QVar("t")
+    proj0 = StateProj(asrt.Ket(cl.Lit(0), t))
+    # FB3 applied to |0><0| three times is <0|0><0|0> I = I
+    pre = CqAssertion(cl.TRUE, StateProj(asrt.Ket(cl.Lit(2), t)))
+    post = CqAssertion(cl.TRUE, Kraus("FB3", (), (t,), (proj0,) * 3))
+    files = []
+    for name, a in (("pre", pre), ("post", post)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(asrt.assertion_to_json(a)))
+        files.append(str(path))
+    code, doc, _ = run_cli(capsys, "--interp", str(interp), "entail", *files)
+    assert code == 0 and doc["status"] == "holds"
+
+
+def test_run_loads_a_state_within_the_interpretation_tolerance(capsys, tmp_path):
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps({"quantum_vars": {"q": {"dim": 2}},
+                                  "tolerances": {"psd": 1e-3}}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"rho": {"matrix": [
+        [[1.00001, 0], [0, 0]], [[0, 0], [-0.00001, 0]]]}}))
+    code, doc, _ = run_cli(capsys, "--interp", str(interp), "run", "skip",
+                           "--state", str(state))
+    assert code == 0 and doc["input_trace"] == 1.0
+
+
+def test_oversized_predicate_check_is_inconclusive_and_exits_2(capsys, tmp_path):
+    n = 15
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps({"quantum_vars": {"q": {
+        "dim": 2, "indices": [{"kind": "int", "lo": 1, "hi": n}]}}}))
+    zeros = CqAssertion(cl.TRUE, StateProj(asrt.tensor_all(
+        [asrt.Ket(cl.Lit(0), QVar("q", (cl.Lit(i),))) for i in range(1, n + 1)])))
+    skip = pv.ProofNode("Skip", pv.HoareTriple(zeros, qs.Skip(), zeros))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(pv.node_to_json(pv.ProofNode(
+        "Conseq", pv.HoareTriple(zeros, qs.Skip(), zeros), (skip,)))))
+    code, doc, _ = run_cli(capsys, "--interp", str(interp), "check", str(script))
+    assert code == 2 and doc["status"] == "inconclusive"
+    root = doc["nodes"][-1]
+    assert root["status"] == "inconclusive" and "exceeds cap" in root["reason"]

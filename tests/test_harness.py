@@ -116,6 +116,15 @@ def test_unenumerable_domain_is_inconclusive():
     assert r.verdict == "inconclusive"
 
 
+def test_oversized_ambient_register_is_inconclusive():
+    interp = st.default_interpretation()
+    interp.declare_quantum("q", 2, (cl.IntType(1, 15),))
+    a = CqAssertion(cl.TRUE, Atomic("P0", (), (QVar("q", (cl.Lit(1),)),)))
+    report = hz.fuzz_triple(pv.HoareTriple(a, qs.Skip(), a), interp,
+                            hz.RunConfig(samples=1))
+    assert report.verdict == "inconclusive" and "exceeds cap" in report.reason
+
+
 def test_fuzz_margin_reads_the_tolerance():
     interp, _, mutants = hz.build_corpus()
     t = mutants["skip_mismatch"].conclusion  # {P0} skip {P1}: margin down to -1

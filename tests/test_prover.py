@@ -456,3 +456,18 @@ def test_proportional_scalar_bound_reads_the_psd_tolerance():
     assert pv.check_proportional(over, half, (), interp).status == "fails"
     interp.tolerances = la.Tolerances(psd=1e-5)
     assert pv.check_proportional(over, half, (), interp).holds
+
+
+def test_check_script_leaves_the_user_symbols_unchanged(corpus):
+    interp, accepted, mutants = corpus
+    interp.declare_quantum("t", 3)
+    t = QVar("t")
+    a = StateProj(asrt.Ket(cl.Lit(0), t))
+    init = pv.ProofNode("Init", pv.HoareTriple(
+        CqAssertion(cl.TRUE, Kraus("FB3", (), (t,), (a,) * 3)), qs.Init(t),
+        CqAssertion(cl.TRUE, a)))
+    before = dict(interp.kraus)
+    assert pv.check_script(init, interp).accepted
+    for root in list(accepted.values()) + list(mutants.values()):
+        pv.check_script(root, interp)
+    assert interp.kraus == before

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from cqhoare import classical as cl
 from cqhoare import linalg as la
 from cqhoare import qsyntax as qs
+from cqhoare import structures as st
 from cqhoare import semantics as sem
+from cqhoare import assertions as asrt
+from cqhoare import prover as pv
 
 from conftest import (small_interp, random_loop_free, random_input,
                       random_density)
@@ -297,3 +301,74 @@ def test_branch_cap_counts_the_batch_branches():
     with pytest.raises(sem.SemanticsError):
         sem.run(p, sem.CqState(sigma, la.DensityOperator(layout, mats)), 0,
                 interp, branch_cap=3)
+
+
+def test_statements_check_their_target_dimensions():
+    interp = small_interp()
+    interp.declare_quantum("t", 3)
+    layout = interp.make_layout(interp.all_systems())
+    state = sem.CqState(cl.ClassicalState({"x": 0, "y": 0}), la.pure_state(
+        la.basis_vector(0, layout.dim), layout))
+    for src in ("H[t]", "x := M[t]"):
+        with pytest.raises(sem.SemanticsError, match="expects dimensions"):
+            sem.run(qs.parse_program(src, measurements={"M"}), state, 0, interp)
+
+
+def _unitary(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(g)[0]
+
+
+_ONE_QUBIT = {"H": None, "Y": None, "Rx": "real", "Rz": "real", "R": "int"}
+_TWO_QUBIT = {"CNOT": None, "SWAP": None, "Rxx": "real", "CR": "int"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(1, 2),
+       kind=hst.sampled_from(["gate", "measure", "init"]))
+def test_designated_symbols_are_the_adjoints_of_run(seed, n, kind):
+    """tr(F(A) rho) = sum over the run's outputs of tr(A rho'), where F(A)
+    is the precondition the Init, Uni or Meas axiom derives from A."""
+    rng = np.random.default_rng(seed)
+    interp = st.default_interpretation()
+    interp.declare_classical("x", cl.IntType(0, 1))
+    interp.declare_classical("y", cl.IntType(0, 1))
+    qubits = [qs.QVar("q%d" % i) for i in range(1, n + 1)]
+    for q in qubits:
+        interp.declare_quantum(q.name, 2)
+    # a two-outcome measurement that is neither projective nor hermitian
+    theta = rng.uniform(0, 1.6, 2)
+    c, s = np.cos(theta), np.sin(theta)
+    interp.measurements["MR"] = st.MeasurementFamily(
+        "MR", cl.IntType(0, 1), (2,), {0: _unitary(rng, 2) @ np.diag(c),
+                                       1: _unitary(rng, 2) @ np.diag(s)})
+    g = rng.standard_normal((2 ** n,) * 2) + 1j * rng.standard_normal((2 ** n,) * 2)
+    effect = g @ g.conj().T
+    effect *= rng.uniform(0, 1) / np.linalg.eigvalsh(effect)[-1]
+    interp.predicates["A"] = st.AtomicPredicate(
+        "A", (), (2,) * n, lambda: effect)
+    a = asrt.Atomic("A", (), tuple(qubits))
+    targets = [qubits[i] for i in rng.permutation(n)]
+    if kind == "gate":
+        table = _TWO_QUBIT if n == 2 and rng.integers(2) else _ONE_QUBIT
+        name = list(table)[rng.integers(len(table))]
+        param = {None: (), "real": (cl.Lit(float(rng.uniform(-4, 4))),),
+                 "int": (cl.Lit(int(rng.integers(1, 6))),)}[table[name]]
+        stmt = qs.Gate(name, param, tuple(targets[:len(interp.gate(name).dims)]))
+    elif kind == "measure":
+        stmt = qs.Measure("x", ["M", "MR"][rng.integers(2)], (targets[0],))
+    else:
+        stmt = qs.Init(targets[0])
+    pre = pv.axiom_pre(stmt, a, dim=2, y="y")
+    layout = interp.make_layout(interp.all_systems())
+    rho = random_density(rng, layout)
+    outcomes = (0, 1) if kind == "measure" else (0,)
+    lhs = 0.0
+    for m in outcomes:
+        r = asrt.eval_predicate(cl.ClassicalState({"x": 0, "y": m}), pre, interp)
+        lhs += la.trace_product(la.embed(r.op, r.layout.ids, layout), rho.mat)
+    out = sem.run(stmt, sem.CqState(cl.ClassicalState({"x": 0, "y": 0}), rho),
+                  0, interp)
+    a_op = la.embed(effect, [la.system_id(q.name) for q in qubits], layout)
+    rhs = sum(la.trace_product(a_op, it.rho.mat) for it in out.items)
+    assert abs(lhs - rhs) <= 1e-12

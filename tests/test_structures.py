@@ -59,6 +59,22 @@ def test_measurement_completeness_reads_the_tolerance():
     assert set(interp.measurement("MX").operators) == {0, 1}
 
 
+def test_load_interpretation_checks_read_the_tolerances():
+    s = 1 + 1e-6  # unitary, sub-normalized and an effect only to 1e-6
+    doc = {"gates": {"G": {"matrix": [[[s, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+           "kraus_symbols": {"K": {"operators": [[[s, 0], [0, 0]],
+                                                  [[0, 0], [1, 0]]]}},
+           "atomic_predicates": {"A": {"matrix": [[[s, 0], [0, 0]],
+                                                  [[0, 0], [0, 0]]]}}}
+    for part in ("gates", "kraus_symbols", "atomic_predicates"):
+        with pytest.raises(st.InterpError):
+            st.load_interpretation({part: doc[part]})
+    loose = {"unitary": 1e-5, "psd": 1e-5}
+    interp = st.load_interpretation(dict(doc, tolerances=loose))
+    assert {"G", "K", "A"} <= set(interp.gates) | set(interp.kraus) | set(
+        interp.predicates)
+
+
 def test_kraus_subnormalization():
     with pytest.raises(st.InterpError):
         st.KrausSymbol("TOOBIG", 1, (), (2,),
@@ -71,7 +87,7 @@ def test_kraus_subnormalization():
 
 def test_derived_families():
     interp = st.default_interpretation()
-    fb = interp.kraus_symbol(interp.fb_name(2))
+    fb = interp.kraus_symbol("FB2")
     ops = fb.operators(())
     total = sum(f @ f.conj().T for f in ops)
     assert np.allclose(total, np.eye(2))
@@ -90,6 +106,34 @@ def test_weighted_sum_symbols():
     assert abs(cs[0] - 0.5) < 1e-12 and abs(cs[1] - np.sqrt(0.5)) < 1e-12
     with pytest.raises(st.InterpError):
         w.operators((0.7, 0.7))
+
+
+def test_designated_symbols_derive_on_lookup():
+    interp = st.default_interpretation()
+    for d in (1, 3, 5, 17):
+        fb = interp.kraus_symbol("FB%d" % d)
+        assert (fb.rank, fb.dims) == (d, (d,))
+        for f, e in zip(fb.operators(()), st.init_operators(d)):
+            assert np.array_equal(f, e.conj().T)
+    for k in (1, 9, 12):
+        assert interp.kraus_symbol("WSUM%d" % k).rank == k
+    for name in ("FB0", "FB03", "WSUM0", "F_NOPE", "F_"):
+        with pytest.raises(st.InterpError):
+            interp.kraus_symbol(name)
+    assert interp.kraus == {}
+
+
+def test_user_symbols_may_not_take_designated_names():
+    ident = st.KrausSymbol("F_H", 1, (), (2,), lambda: [np.eye(2)])
+    with pytest.raises(st.InterpError, match="F_H.*reserved"):
+        st.Interpretation(kraus={"F_H": ident})
+    gate = {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+    sym = {"operators": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+    with pytest.raises(st.InterpError, match="F_MYX.*reserved"):
+        st.load_interpretation({"gates": {"MYX": gate},
+                                "kraus_symbols": {"F_MYX": sym}})
+    interp = st.load_interpretation({"kraus_symbols": {"F_MYX": sym}})
+    assert interp.kraus_symbol("F_MYX") is interp.kraus["F_MYX"]
 
 
 def test_resolution_and_ranges():
