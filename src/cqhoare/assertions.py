@@ -129,13 +129,12 @@ def _to_index(v, dim, what):
     if isinstance(v, bool):
         v = int(v)
     if isinstance(v, complex):
-        if abs(v.imag) > 1e-9:
+        if abs(v.imag) > cl.INT_TOL:
             raise NotWellDefined("%s is not an integer" % what)
         v = v.real
+    v = cl.near_int(v)
     if isinstance(v, float):
-        if abs(v - round(v)) > 1e-9:
-            raise NotWellDefined("%s is not an integer" % what)
-        v = int(round(v))
+        raise NotWellDefined("%s is not an integer" % what)
     if isinstance(v, cl.Bits):
         v = v.as_int()
     if not isinstance(v, int):
@@ -311,12 +310,12 @@ def _tensor_layout(l1, l2, interp, memo):
     return hit[2]
 
 
-def eval_state(sigma, s, interp, norm_tol=1e-9, memo=None):
-    """Evaluate a formal state; well-defined only at norm 1.  The vector
-    is read-only when it comes from a memo."""
+def eval_state(sigma, s, interp, memo=None):
+    """Evaluate a formal state; well-defined only at norm 1, up to the trace
+    tolerance.  The vector is read-only when it comes from a memo."""
     vec, layout = _eval_state(sigma, s, interp, memo)
     n = float(np.linalg.norm(vec))
-    if abs(n - 1.0) > norm_tol:
+    if abs(n - 1.0) > interp.tolerances.trace:
         raise NotWellDefined("state norm %.6g differs from 1" % n)
     return vec, layout
 
@@ -449,9 +448,8 @@ class Verdict:
 class Domain:
     """Enumerable classical state space for entailment decisions."""
 
-    def __init__(self, typing, cap=cl.DOMAIN_CAP):
+    def __init__(self, typing):
         self.typing = dict(typing)
-        self.cap = cap
 
     @staticmethod
     def from_interp(interp, names):
@@ -466,7 +464,7 @@ class Domain:
         return Domain(typing), missing
 
     def states(self, names):
-        return cl.iter_states(self.typing, names, cap=self.cap)
+        return cl.iter_states(self.typing, names)
 
     def enumerate(self, names):
         """Every state over `names`, or an inconclusive Verdict when a name

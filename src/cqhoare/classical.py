@@ -11,7 +11,16 @@ import itertools
 import math
 
 FLOAT_EQ = 1e-12
+INT_TOL = 1e-9  # a float this close to an integer is read as that integer
 DOMAIN_CAP = 10 ** 6
+
+
+def near_int(v):
+    """A float within INT_TOL of an integer, as that integer; any other
+    value unchanged."""
+    if isinstance(v, float) and abs(v - round(v)) <= INT_TOL:
+        return int(round(v))
+    return v
 
 
 class EvalError(ValueError):

@@ -143,7 +143,10 @@ def _cmd_entail(args):
         domain = asrt.Domain(typing)
     else:
         domain, _ = asrt.Domain.from_interp(interp, qs.classical_vars((pre, post)))
-    v = asrt.cq_entails(pre, post, domain, interp)
+    try:
+        v = asrt.cq_entails(pre, post, domain, interp)
+    except la.DimensionCapError as e:
+        v = asrt.Verdict("inconclusive", reason="too large to decide: %s" % e)
     doc = {"status": v.status, "reason": v.reason, "version": __version__}
     if v.witness is not None:
         doc["witness"] = v.witness.to_json() if hasattr(

@@ -197,8 +197,8 @@ def fuzz_triple(triple, interp, cfg=None):
                 unfinished = np.zeros(len(rhos), dtype=bool)
             else:
                 nt = np.zeros(len(rhos))
-                unfinished = np.broadcast_to(out.residual_trace() > 1e-9,
-                                             len(rhos))
+                unfinished = np.broadcast_to(
+                    out.residual_trace() > interp.tolerances.trace, len(rhos))
             margin = rhs + nt - lhs
             for i in range(len(rhos)):
                 records.append(FuzzRecord(

@@ -11,6 +11,7 @@ the verdict "inconclusive", never a silent pass.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,10 +82,6 @@ class CheckReport:
         }
 
 
-RULES = ("Skip", "Ass", "Init", "Uni", "Meas", "Seq", "Cond", "LoopPar",
-         "LoopTot", "Conseq", "Accum1", "Accum2", "Convex1", "Convex2")
-
-
 def _and(a, b):
     return cl.BinOp("and", a, b)
 
@@ -100,6 +97,24 @@ def _reject(reason):
     return NodeVerdict("rejected", reason)
 
 
+class _Stop(Exception):
+    """Ends a rule check with `verdict`, the outcome of its first failing
+    check."""
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+
+
+def _stop(status, reason, side=()):
+    raise _Stop(NodeVerdict(status, reason, list(side)))
+
+
+def _require(ok, reason, side=()):
+    """Reject the node for `reason` unless `ok`."""
+    if not ok:
+        _stop("rejected", reason, side)
+
+
 def _domain_for(node, interp):
     """Enumeration domain for a node: the interpretation's typing for every
     classical variable mentioned anywhere in the conclusion and witnesses."""
@@ -109,10 +124,6 @@ def _domain_for(node, interp):
             names.add(node.witnesses[w])
     domain, _missing = Domain.from_interp(interp, names)
     return domain
-
-
-def _premise_modes_ok(node):
-    return all(p.conclusion.mode == node.conclusion.mode for p in node.premises)
 
 
 def _split_last_conjunct(phi):
@@ -192,30 +203,27 @@ def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Per-rule checking
+# Per-rule checking.  A rule check returns the side conditions it
+# discharged, or ends early through `_require` / `_stop` at its first
+# failing check.
 
 
 def _check_skip(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.Skip):
-        return _reject("program is not skip")
-    if not qs.same_syntax(t.pre, t.post):
-        return _reject("pre and post must be identical")
-    return NodeVerdict("accepted")
+    _require(isinstance(t.program, qs.Skip), "program is not skip")
+    _require(qs.same_syntax(t.pre, t.post), "pre and post must be identical")
 
 
 def _check_ass(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.Assign):
-        return _reject("program is not an assignment")
+    _require(isinstance(t.program, qs.Assign), "program is not an assignment")
     x, e = t.program.var, t.program.expr
     want_phi = cl.subst(t.post.phi, e, x)
     want_a = asrt.subst_predicate(t.post.a, e, x)
-    if not cl.formula_equal(t.pre.phi, want_phi):
-        return _reject("precondition formula is not post[e/x]")
-    if not asrt.pred_equal(t.pre.a, want_a):
-        return _reject("quantum precondition is not post[e/x]")
-    return NodeVerdict("accepted")
+    _require(cl.formula_equal(t.pre.phi, want_phi),
+             "precondition formula is not post[e/x]")
+    _require(asrt.pred_equal(t.pre.a, want_a),
+             "quantum precondition is not post[e/x]")
 
 
 def axiom_pre(program, post_a, dim=None, y=None):
@@ -235,187 +243,244 @@ def axiom_pre(program, post_a, dim=None, y=None):
 
 def _check_init(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.Init):
-        return _reject("program is not an initialization")
-    if not cl.formula_equal(t.pre.phi, t.post.phi):
-        return _reject("classical parts must match")
+    _require(isinstance(t.program, qs.Init),
+             "program is not an initialization")
+    _require(cl.formula_equal(t.pre.phi, t.post.phi),
+             "classical parts must match")
     want = axiom_pre(t.program, t.post.a,
                      dim=interp.decl_of(t.program.qvar.name).dim)
-    if not asrt.pred_equal(t.pre.a, want):
-        return _reject("precondition is not %s applied to the postcondition"
-                       % want.name)
-    return NodeVerdict("accepted")
+    _require(asrt.pred_equal(t.pre.a, want),
+             "precondition is not %s applied to the postcondition" % want.name)
 
 
 def _check_uni(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.Gate):
-        return _reject("program is not a gate application")
-    if not cl.formula_equal(t.pre.phi, t.post.phi):
-        return _reject("classical parts must match")
+    _require(isinstance(t.program, qs.Gate),
+             "program is not a gate application")
+    _require(cl.formula_equal(t.pre.phi, t.post.phi),
+             "classical parts must match")
     interp.gate(t.program.name)
     want = axiom_pre(t.program, t.post.a)
-    if not asrt.pred_equal(t.pre.a, want):
-        return _reject("precondition is not %s applied to the postcondition"
-                       % want.name)
-    return NodeVerdict("accepted")
+    _require(asrt.pred_equal(t.pre.a, want),
+             "precondition is not %s applied to the postcondition" % want.name)
 
 
 def _check_meas(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.Measure):
-        return _reject("program is not a measurement")
+    _require(isinstance(t.program, qs.Measure), "program is not a measurement")
     y = node.witnesses.get("y")
-    if not isinstance(y, str):
-        return _reject("missing fresh-variable witness y")
+    _require(isinstance(y, str), "missing fresh-variable witness y")
     x = t.program.var
     phi, last = _split_last_conjunct(t.post.phi)
-    if not cl.formula_equal(last, cl.BinOp("=", cl.Var(x), cl.Var(y))):
-        return _reject("postcondition must end with the conjunct %s = %s" % (x, y))
-    if y in qs.classical_vars((phi, t.post.a)) | {x}:
-        return _reject("witness %s is not fresh" % y)
-    if not cl.formula_equal(t.pre.phi, cl.subst(phi, cl.Var(y), x)):
-        return _reject("precondition formula is not phi[y/x]")
+    _require(cl.formula_equal(last, cl.BinOp("=", cl.Var(x), cl.Var(y))),
+             "postcondition must end with the conjunct %s = %s" % (x, y))
+    _require(y not in qs.classical_vars((phi, t.post.a)) | {x},
+             "witness %s is not fresh" % y)
+    _require(cl.formula_equal(t.pre.phi, cl.subst(phi, cl.Var(y), x)),
+             "precondition formula is not phi[y/x]")
     interp.measurement(t.program.meas)
     want = axiom_pre(t.program, t.post.a, y=y)
-    if not asrt.pred_equal(t.pre.a, want):
-        return _reject("quantum precondition is not %s(y) applied to A[y/x]"
-                       % want.name)
-    return NodeVerdict("accepted")
+    _require(asrt.pred_equal(t.pre.a, want),
+             "quantum precondition is not %s(y) applied to A[y/x]" % want.name)
 
 
 def _check_seq(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.Seq):
-        return _reject("program is not a sequence")
-    if len(node.premises) != 2:
-        return _reject("sequence rule takes two premises")
+    _require(isinstance(t.program, qs.Seq), "program is not a sequence")
+    _require(len(node.premises) == 2, "sequence rule takes two premises")
     t1, t2 = node.premises[0].conclusion, node.premises[1].conclusion
-    if not qs.same_syntax((t1.program, t2.program),
-                          (t.program.first, t.program.second)):
-        return _reject("premise programs do not match the sequence")
-    if not qs.same_syntax((t1.pre, t2.post), (t.pre, t.post)):
-        return _reject("endpoint assertions do not match")
-    if not qs.same_syntax(t1.post, t2.pre):
-        return _reject("intermediate assertions do not match")
-    return NodeVerdict("accepted")
+    _require(qs.same_syntax((t1.program, t2.program),
+                            (t.program.first, t.program.second)),
+             "premise programs do not match the sequence")
+    _require(qs.same_syntax((t1.pre, t2.post), (t.pre, t.post)),
+             "endpoint assertions do not match")
+    _require(qs.same_syntax(t1.post, t2.pre),
+             "intermediate assertions do not match")
 
 
 def _check_cond(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.If):
-        return _reject("program is not a conditional")
-    if len(node.premises) != 2:
-        return _reject("conditional rule takes two premises")
+    _require(isinstance(t.program, qs.If), "program is not a conditional")
+    _require(len(node.premises) == 2, "conditional rule takes two premises")
     t1, t0 = node.premises[0].conclusion, node.premises[1].conclusion
-    if not qs.same_syntax((t1.program, t0.program),
-                          (t.program.then, t.program.orelse)):
-        return _reject("premise programs do not match the branches")
+    _require(qs.same_syntax((t1.program, t0.program),
+                            (t.program.then, t.program.orelse)),
+             "premise programs do not match the branches")
     phi, b = t.pre.phi, t.program.cond
-    if not cl.formula_equal(t1.pre.phi, _and(phi, b)):
-        return _reject("then-premise precondition is not phi and b")
-    if not cl.formula_equal(t0.pre.phi, _and(phi, cl.neg(b))):
-        return _reject("else-premise precondition is not phi and not b")
+    _require(cl.formula_equal(t1.pre.phi, _and(phi, b)),
+             "then-premise precondition is not phi and b")
+    _require(cl.formula_equal(t0.pre.phi, _and(phi, cl.neg(b))),
+             "else-premise precondition is not phi and not b")
     for tb in (t1, t0):
-        if not asrt.pred_equal(tb.pre.a, t.pre.a):
-            return _reject("premise quantum preconditions must match")
-        if not qs.same_syntax(tb.post, t.post):
-            return _reject("premise postconditions must match")
-    return NodeVerdict("accepted")
+        _require(asrt.pred_equal(tb.pre.a, t.pre.a),
+                 "premise quantum preconditions must match")
+        _require(qs.same_syntax(tb.post, t.post),
+                 "premise postconditions must match")
+
+
+def _require_premise(premise, pre, post, reason):
+    """Reject unless the premise's conclusion has exactly this pre and post."""
+    tp = premise.conclusion
+    _require(qs.same_syntax((tp.pre, tp.post), (pre, post)), reason)
+
+
+def _invariant_premise(t):
+    """(pre, post) of the invariant premise {phi and b, A} P {phi, A} of the
+    loop triple `t` = {phi, A} while b do P od {...}."""
+    return CqAssertion(_and(t.pre.phi, t.program.cond), t.pre.a), t.pre
+
+
+def _require_loop_exit(t):
+    """The loop triple `t` = {phi, A} while b do P od {phi and not b, A}."""
+    exit_phi = _and(t.pre.phi, cl.neg(t.program.cond))
+    _require(cl.formula_equal(t.post.phi, exit_phi),
+             "postcondition formula is not phi and not b")
+    _require(asrt.pred_equal(t.post.a, t.pre.a),
+             "invariant predicate must be preserved")
 
 
 def _check_loop_par(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.While):
-        return _reject("program is not a loop")
-    if len(node.premises) != 1:
-        return _reject("loop rule takes one premise")
-    tb = node.premises[0].conclusion
-    phi, b = t.pre.phi, t.program.cond
-    if not qs.same_syntax(tb.program, t.program.body):
-        return _reject("premise program is not the loop body")
-    ok = (cl.formula_equal(tb.pre.phi, _and(phi, b))
-          and asrt.pred_equal(tb.pre.a, t.pre.a)
-          and cl.formula_equal(tb.post.phi, phi)
-          and asrt.pred_equal(tb.post.a, t.pre.a))
-    if not ok:
-        return _reject("premise is not {phi and b, A} P {phi, A}")
-    if not cl.formula_equal(t.post.phi, _and(phi, cl.neg(b))):
-        return _reject("postcondition formula is not phi and not b")
-    if not asrt.pred_equal(t.post.a, t.pre.a):
-        return _reject("invariant predicate must be preserved")
-    return NodeVerdict("accepted")
+    _require(isinstance(t.program, qs.While), "program is not a loop")
+    _require(len(node.premises) == 1, "loop rule takes one premise")
+    (body,) = node.premises
+    _require(qs.same_syntax(body.conclusion.program, t.program.body),
+             "premise program is not the loop body")
+    _require_premise(body, *_invariant_premise(t),
+                     "premise is not {phi and b, A} P {phi, A}")
+    _require_loop_exit(t)
 
 
 def _check_loop_tot(node, interp, domain, memo):
     t = node.conclusion
-    if not isinstance(t.program, qs.While):
-        return _reject("program is not a loop")
-    if len(node.premises) != 2:
-        return _reject("total loop rule takes two premises")
+    _require(isinstance(t.program, qs.While), "program is not a loop")
+    _require(len(node.premises) == 2, "total loop rule takes two premises")
     tv = node.witnesses.get("t")
     z = node.witnesses.get("z")
-    if tv is None or not isinstance(z, str):
-        return _reject("missing variant witness t or ranking variable z")
+    _require(tv is not None and isinstance(z, str),
+             "missing variant witness t or ranking variable z")
     phi, b = t.pre.phi, t.program.cond
-    t1, t2 = node.premises[0].conclusion, node.premises[1].conclusion
-    if not qs.same_syntax((t1.program, t2.program), (t.program.body,) * 2):
-        return _reject("premise programs must be the loop body")
-    ok1 = (cl.formula_equal(t1.pre.phi, _and(phi, b))
-           and asrt.pred_equal(t1.pre.a, t.pre.a)
-           and cl.formula_equal(t1.post.phi, phi)
-           and asrt.pred_equal(t1.post.a, t.pre.a))
-    if not ok1:
-        return _reject("first premise is not {phi and b, A} P {phi, A}")
-    ok2 = (cl.formula_equal(
-        t2.pre.phi, _and(_and(phi, b), cl.BinOp("=", tv, cl.Var(z))))
-        and asrt.pred_equal(t2.pre.a, t.pre.a)
-        and cl.formula_equal(t2.post.phi, cl.BinOp("<", tv, cl.Var(z)))
-        and asrt.pred_equal(t2.post.a, t.pre.a))
-    if not ok2:
-        return _reject("second premise is not {phi and b and t=z, A} P {t<z, A}")
-    if not cl.formula_equal(t.post.phi, _and(phi, cl.neg(b))):
-        return _reject("postcondition formula is not phi and not b")
-    if not asrt.pred_equal(t.post.a, t.pre.a):
-        return _reject("invariant predicate must be preserved")
-    side = []
-    if z in qs.classical_vars((phi, tv, t.program)):
-        return _reject("ranking variable %s is not fresh" % z)
-    side.append(("freshness", "holds", "z fresh"))
+    first, second = node.premises
+    _require(qs.same_syntax((first.conclusion.program,
+                             second.conclusion.program),
+                            (t.program.body,) * 2),
+             "premise programs must be the loop body")
+    _require_premise(first, *_invariant_premise(t),
+                     "first premise is not {phi and b, A} P {phi, A}")
+    _require_premise(
+        second,
+        CqAssertion(_and(_and(phi, b), cl.BinOp("=", tv, cl.Var(z))), t.pre.a),
+        CqAssertion(cl.BinOp("<", tv, cl.Var(z)), t.pre.a),
+        "second premise is not {phi and b and t=z, A} P {t<z, A}")
+    _require_loop_exit(t)
+    _require(z not in qs.classical_vars((phi, tv, t.program)),
+             "ranking variable %s is not fresh" % z)
+    side = [("freshness", "holds", "z fresh")]
     # phi -> t >= 0, and t integer-valued, by enumeration
     states = domain.enumerate(cl.free_vars(phi) | cl.free_vars(tv))
     if isinstance(states, Verdict):
-        return NodeVerdict("inconclusive", states.reason, side)
+        _stop("inconclusive", states.reason, side)
     for sigma in states:
         if not cl.satisfies(sigma, phi):
             continue
         v = cl.eval_expr(sigma, tv)
-        if isinstance(v, bool) or not isinstance(v, int):
-            return _reject("variant expression is not integer-valued")
+        _require(isinstance(v, int) and not isinstance(v, bool),
+                 "variant expression is not integer-valued")
         if v < 0:
-            return _reject("phi does not imply t >= 0 (witness %r)" % (sigma,))
+            _stop("rejected",
+                  "phi does not imply t >= 0 (witness %r)" % (sigma,))
     side.append(("variant-nonnegative", "holds", "enumerated"))
-    return NodeVerdict("accepted", side_conditions=side)
+    return side
 
 
 def _check_conseq(node, interp, domain, memo):
     t = node.conclusion
-    if len(node.premises) != 1:
-        return _reject("consequence rule takes one premise")
+    _require(len(node.premises) == 1, "consequence rule takes one premise")
     tp = node.premises[0].conclusion
-    if not qs.same_syntax(tp.program, t.program):
-        return _reject("premise program differs")
-    side = []
+    _require(qs.same_syntax(tp.program, t.program), "premise program differs")
     v1 = asrt.cq_entails(t.pre, tp.pre, domain, interp, memo)
-    side.append(("pre-entailment", v1.status, v1.reason))
     v2 = asrt.cq_entails(tp.post, t.post, domain, interp, memo)
-    side.append(("post-entailment", v2.status, v2.reason))
+    side = [("pre-entailment", v1.status, v1.reason),
+            ("post-entailment", v2.status, v2.reason)]
     for v in (v1, v2):
-        if v.status == "fails":
-            return NodeVerdict("rejected", v.reason or "entailment fails", side)
-    if any(v.status == "inconclusive" for v in (v1, v2)):
-        return NodeVerdict("inconclusive", "entailment inconclusive", side)
-    return NodeVerdict("accepted", side_conditions=side)
+        _require(v.status != "fails", v.reason or "entailment fails", side)
+    if "inconclusive" in (v1.status, v2.status):
+        _stop("inconclusive", "entailment inconclusive", side)
+    return side
+
+
+# The accumulation and convexity rules: the conclusion applies a Kraus
+# symbol to the premises' preconditions, and its postcondition combines
+# the premises' postconditions in one of two shapes.
+
+
+def _kraus_pre(node, interp):
+    """The conclusion's precondition is {phi, F(A_1, ..., A_k)} for premises
+    {phi, A_i} P ... about the conclusion's program, where F has rank k.
+    Returns the symbol F."""
+    t = node.conclusion
+    _require(isinstance(t.pre.a, Kraus),
+             "conclusion precondition is not a Kraus application")
+    k = len(node.premises)
+    _require(k > 0, "at least one premise required")
+    sym = interp.kraus_symbol(t.pre.a.name)
+    _require(sym.rank == k and len(t.pre.a.branches) == k,
+             "symbol rank must equal the premise count")
+    for p in node.premises:
+        _require(qs.same_syntax(p.conclusion.program, t.program),
+                 "premise programs must match the conclusion")
+        _require(cl.formula_equal(p.conclusion.pre.phi, t.pre.phi),
+                 "premise preconditions must share one formula")
+    for i, p in enumerate(node.premises):
+        _require(asrt.pred_equal(t.pre.a.branches[i], p.conclusion.pre.a),
+                 "branch %d does not match premise %d" % (i, i))
+    return sym
+
+
+def _disjoint_posts(node, domain, side):
+    """Accum1 and Convex1: the premises' postconditions {psi_i, B} share B,
+    the conclusion's is {psi_1 or ... or psi_k, F'(B)}, and no classical
+    state satisfies two psi_i.  Records that side condition and returns its
+    verdict."""
+    t = node.conclusion
+    posts = [p.conclusion.post for p in node.premises]
+    _require(all(asrt.pred_equal(q.a, posts[0].a) for q in posts[1:]),
+             "premise postcondition predicates must coincide")
+    _require(asrt.pred_equal(t.post.a.branches[0], posts[0].a),
+             "conclusion post branch must be the shared predicate")
+    psis = [q.phi for q in posts]
+    _require(cl.formula_equal(t.post.phi, _or_all(psis)),
+             "conclusion postcondition formula must be the disjunction")
+    mex = _mutual_exclusion(psis, domain)
+    side.append(("mutual-exclusion", mex.status, mex.reason))
+    _require(mex.status != "fails", mex.reason, side)
+    return mex
+
+
+def _mutual_exclusion(psis, domain):
+    states = domain.enumerate(qs.classical_vars(psis))
+    if isinstance(states, Verdict):
+        return states
+    for sigma in states:
+        hits = [i for i, p in enumerate(psis) if cl.satisfies(sigma, p)]
+        if len(hits) > 1:
+            return Verdict("fails", witness=sigma,
+                           reason="postconditions %d and %d overlap" % (hits[0], hits[1]))
+    return Verdict("holds")
+
+
+def _shared_posts(node):
+    """Accum2 and Convex2: the premises' postconditions {psi, B_i} share
+    psi, and the conclusion's is {psi, F(B_1, ..., B_k)}."""
+    t = node.conclusion
+    posts = [p.conclusion.post for p in node.premises]
+    _require(all(cl.formula_equal(q.phi, posts[0].phi) for q in posts[1:]),
+             "premise postcondition formulas must coincide")
+    _require(cl.formula_equal(t.post.phi, posts[0].phi),
+             "conclusion postcondition formula must be the shared one")
+    for i, q in enumerate(posts):
+        _require(asrt.pred_equal(t.post.a.branches[i], q.a),
+                 "post branch %d does not match premise %d" % (i, i))
 
 
 def _targets_disjoint(targets, program):
@@ -434,143 +499,23 @@ def _targets_disjoint(targets, program):
     return True
 
 
-def _mutual_exclusion(psis, domain):
-    states = domain.enumerate(qs.classical_vars(psis))
-    if isinstance(states, Verdict):
-        return states
-    for sigma in states:
-        hits = [i for i, p in enumerate(psis) if cl.satisfies(sigma, p)]
-        if len(hits) > 1:
-            return Verdict("fails", witness=sigma,
-                           reason="postconditions %d and %d overlap" % (hits[0], hits[1]))
-    return Verdict("holds")
+def _targets_untouched(t, side):
+    """Accum1 and Accum2: the program touches no target of the
+    precondition's symbol.  Records that side condition."""
+    ok = _targets_disjoint(t.pre.a.targets, t.program)
+    side.append(("targets-disjoint", "holds", "conservative") if ok
+                else ("targets-disjoint", "fails", ""))
+    _require(ok, "symbol targets may be touched by the program", side)
 
 
-def _accum_common(node, interp):
-    """Shared structure for the accumulation/convexity family: conclusion
-    pre must be a Kraus application whose branches match the premises."""
-    t = node.conclusion
-    if not isinstance(t.pre.a, Kraus):
-        return None, _reject("conclusion precondition is not a Kraus application")
-    k = len(node.premises)
-    if k == 0:
-        return None, _reject("at least one premise required")
-    sym = interp.kraus_symbol(t.pre.a.name)
-    if sym.rank != k or len(t.pre.a.branches) != k:
-        return None, _reject("symbol rank must equal the premise count")
-    for p in node.premises:
-        if not qs.same_syntax(p.conclusion.program, t.program):
-            return None, _reject("premise programs must match the conclusion")
-        if not cl.formula_equal(p.conclusion.pre.phi, t.pre.phi):
-            return None, _reject("premise preconditions must share one formula")
-    for i, p in enumerate(node.premises):
-        if not asrt.pred_equal(t.pre.a.branches[i], p.conclusion.pre.a):
-            return None, _reject("branch %d does not match premise %d" % (i, i))
-    return sym, None
-
-
-def _eval_const_params(params):
+def _const_params(params):
     empty = cl.ClassicalState()
-    out = []
-    for e in params:
-        out.append(cl.eval_expr(empty, e))
-    return tuple(out)
-
-
-def _check_accum1(node, interp, domain, memo):
-    t = node.conclusion
-    sym, err = _accum_common(node, interp)
-    if err:
-        return err
-    if not isinstance(t.post.a, Kraus):
-        return _reject("conclusion postcondition is not a Kraus application")
-    fp = interp.kraus_symbol(t.post.a.name)
-    if fp.rank != 1 or len(t.post.a.branches) != 1:
-        return _reject("postcondition symbol must have rank 1")
-    if not qs.same_syntax(t.post.a.params, t.pre.a.params):
-        return _reject("pre and post symbol parameters must match")
-    if not qs.same_syntax(t.post.a.targets, t.pre.a.targets):
-        return _reject("pre and post symbol targets must match")
-    b = node.premises[0].conclusion.post.a
-    for p in node.premises[1:]:
-        if not asrt.pred_equal(p.conclusion.post.a, b):
-            return _reject("premise postcondition predicates must coincide")
-    if not asrt.pred_equal(t.post.a.branches[0], b):
-        return _reject("conclusion post branch must be the shared predicate")
-    psis = [p.conclusion.post.phi for p in node.premises]
-    if not cl.formula_equal(t.post.phi, _or_all(psis)):
-        return _reject("conclusion postcondition formula must be the disjunction")
-    side = []
-    mex = _mutual_exclusion(psis, domain)
-    side.append(("mutual-exclusion", mex.status, mex.reason))
-    if mex.status == "fails":
-        return NodeVerdict("rejected", mex.reason, side)
-    if not _targets_disjoint(t.pre.a.targets, t.program):
-        side.append(("targets-disjoint", "fails", ""))
-        return NodeVerdict("rejected",
-                           "symbol targets may be touched by the program", side)
-    side.append(("targets-disjoint", "holds", "conservative"))
-    try:
-        vals = _eval_const_params(t.pre.a.params)
-    except cl.EvalError:
-        return NodeVerdict("inconclusive",
-                           "non-constant symbol parameters", side)
-    prop = check_proportional(sym, fp, vals, interp,
-                              samples=node.witnesses.get("samples", 50),
-                              seed=node.witnesses.get("seed", 0))
-    side.append(("proportionality", prop.status, prop.reason))
-    if prop.status == "fails":
-        return NodeVerdict("rejected", prop.reason, side)
-    if prop.status == "inconclusive":
-        return NodeVerdict("inconclusive", prop.reason, side)
-    if mex.status == "inconclusive":
-        return NodeVerdict("inconclusive", mex.reason, side)
-    return NodeVerdict("accepted", side_conditions=side)
-
-
-def _check_accum2(node, interp, domain, memo):
-    t = node.conclusion
-    sym, err = _accum_common(node, interp)
-    if err:
-        return err
-    if not isinstance(t.post.a, Kraus) or t.post.a.name != t.pre.a.name:
-        return _reject("conclusion must apply the same symbol on both sides")
-    if not qs.same_syntax(t.post.a.targets, t.pre.a.targets) or \
-            len(t.post.a.branches) != sym.rank:
-        return _reject("postcondition symbol application malformed")
-    if not qs.same_syntax(t.post.a.params, t.pre.a.params):
-        return _reject("pre and post symbol parameters must match")
-    psi = node.premises[0].conclusion.post.phi
-    for p in node.premises[1:]:
-        if not cl.formula_equal(p.conclusion.post.phi, psi):
-            return _reject("premise postcondition formulas must coincide")
-    if not cl.formula_equal(t.post.phi, psi):
-        return _reject("conclusion postcondition formula must be the shared one")
-    for i, p in enumerate(node.premises):
-        if not asrt.pred_equal(t.post.a.branches[i], p.conclusion.post.a):
-            return _reject("post branch %d does not match premise %d" % (i, i))
-    side = []
-    if not _targets_disjoint(t.pre.a.targets, t.program):
-        side.append(("targets-disjoint", "fails", ""))
-        return NodeVerdict("rejected",
-                           "symbol targets may be touched by the program", side)
-    side.append(("targets-disjoint", "holds", "conservative"))
-    return NodeVerdict("accepted", side_conditions=side)
-
-
-def _weights_of(node, k, interp):
-    ws = node.witnesses.get("weights")
-    if ws is None or len(ws) != k:
-        return None
-    ws = [float(w) for w in ws]
-    if any(w < -cl.FLOAT_EQ for w in ws) or sum(ws) > 1 + interp.tolerances.trace:
-        return None
-    return ws
+    return tuple(cl.eval_expr(empty, e) for e in params)
 
 
 def _params_close(params, values):
     try:
-        got = _eval_const_params(params)
+        got = _const_params(params)
     except cl.EvalError:
         return False
     if len(got) != len(values):
@@ -578,118 +523,146 @@ def _params_close(params, values):
     return all(abs(float(a) - float(b)) <= cl.FLOAT_EQ for a, b in zip(got, values))
 
 
+def _weights(node, sym, interp):
+    """Convex1 and Convex2: the precondition's symbol `sym` is WSUM<k>, and
+    its parameters are the witness's probability weights.  Returns them."""
+    k = len(node.premises)
+    _require(sym.dims is None and sym.name == st.designated_name("wsum", k),
+             "conclusion must use the scalar weighted-sum symbol")
+    ws = node.witnesses.get("weights")
+    _require(ws is not None and len(ws) == k,
+             "invalid or missing probability weights")
+    ws = [float(w) for w in ws]
+    _require(not (any(w < -cl.FLOAT_EQ for w in ws)
+                  or sum(ws) > 1 + interp.tolerances.trace),
+             "invalid or missing probability weights")
+    _require(_params_close(node.conclusion.pre.a.params, ws),
+             "symbol parameters do not match the weights")
+    return ws
+
+
+def _check_accum1(node, interp, domain, memo):
+    t = node.conclusion
+    sym = _kraus_pre(node, interp)
+    _require(isinstance(t.post.a, Kraus),
+             "conclusion postcondition is not a Kraus application")
+    fp = interp.kraus_symbol(t.post.a.name)
+    _require(fp.rank == 1 and len(t.post.a.branches) == 1,
+             "postcondition symbol must have rank 1")
+    _require(qs.same_syntax(t.post.a.params, t.pre.a.params),
+             "pre and post symbol parameters must match")
+    _require(qs.same_syntax(t.post.a.targets, t.pre.a.targets),
+             "pre and post symbol targets must match")
+    side = []
+    mex = _disjoint_posts(node, domain, side)
+    _targets_untouched(t, side)
+    try:
+        vals = _const_params(t.pre.a.params)
+    except cl.EvalError:
+        _stop("inconclusive", "non-constant symbol parameters", side)
+    prop = check_proportional(sym, fp, vals, interp,
+                              samples=node.witnesses.get("samples", 50),
+                              seed=node.witnesses.get("seed", 0))
+    side.append(("proportionality", prop.status, prop.reason))
+    _require(prop.status != "fails", prop.reason, side)
+    for v in (prop, mex):
+        if v.status == "inconclusive":
+            _stop("inconclusive", v.reason, side)
+    return side
+
+
+def _check_accum2(node, interp, domain, memo):
+    t = node.conclusion
+    sym = _kraus_pre(node, interp)
+    _require(isinstance(t.post.a, Kraus) and t.post.a.name == t.pre.a.name,
+             "conclusion must apply the same symbol on both sides")
+    _require(qs.same_syntax(t.post.a.targets, t.pre.a.targets)
+             and len(t.post.a.branches) == sym.rank,
+             "postcondition symbol application malformed")
+    _require(qs.same_syntax(t.post.a.params, t.pre.a.params),
+             "pre and post symbol parameters must match")
+    _shared_posts(node)
+    side = []
+    _targets_untouched(t, side)
+    return side
+
+
 def _check_convex1(node, interp, domain, memo):
     t = node.conclusion
-    k = len(node.premises)
-    sym, err = _accum_common(node, interp)
-    if err:
-        return err
-    if sym.dims is not None or sym.name != st.designated_name("wsum", k):
-        return _reject("conclusion must use the scalar weighted-sum symbol")
-    ws = _weights_of(node, k, interp)
-    if ws is None:
-        return _reject("invalid or missing probability weights")
-    if not _params_close(t.pre.a.params, ws):
-        return _reject("symbol parameters do not match the weights")
-    if not isinstance(t.post.a, Kraus) or t.post.a.name != st.designated_name("wsum", 1):
-        return _reject("postcondition must scale by the maximal weight")
-    if not _params_close(t.post.a.params, [max(ws)]):
-        return _reject("postcondition weight is not the maximum")
-    b = node.premises[0].conclusion.post.a
-    for p in node.premises[1:]:
-        if not asrt.pred_equal(p.conclusion.post.a, b):
-            return _reject("premise postcondition predicates must coincide")
-    if not asrt.pred_equal(t.post.a.branches[0], b):
-        return _reject("conclusion post branch must be the shared predicate")
-    psis = [p.conclusion.post.phi for p in node.premises]
-    if not cl.formula_equal(t.post.phi, _or_all(psis)):
-        return _reject("conclusion postcondition formula must be the disjunction")
+    ws = _weights(node, _kraus_pre(node, interp), interp)
+    _require(isinstance(t.post.a, Kraus)
+             and t.post.a.name == st.designated_name("wsum", 1),
+             "postcondition must scale by the maximal weight")
+    _require(_params_close(t.post.a.params, [max(ws)]),
+             "postcondition weight is not the maximum")
     side = []
-    mex = _mutual_exclusion(psis, domain)
-    side.append(("mutual-exclusion", mex.status, mex.reason))
-    if mex.status == "fails":
-        return NodeVerdict("rejected", mex.reason, side)
+    mex = _disjoint_posts(node, domain, side)
     if mex.status == "inconclusive":
-        return NodeVerdict("inconclusive", mex.reason, side)
-    return NodeVerdict("accepted", side_conditions=side)
+        _stop("inconclusive", mex.reason, side)
+    return side
 
 
 def _check_convex2(node, interp, domain, memo):
     t = node.conclusion
-    k = len(node.premises)
-    sym, err = _accum_common(node, interp)
-    if err:
-        return err
-    if sym.dims is not None or sym.name != st.designated_name("wsum", k):
-        return _reject("conclusion must use the scalar weighted-sum symbol")
-    ws = _weights_of(node, k, interp)
-    if ws is None:
-        return _reject("invalid or missing probability weights")
-    if not _params_close(t.pre.a.params, ws):
-        return _reject("symbol parameters do not match the weights")
-    if not isinstance(t.post.a, Kraus) or t.post.a.name != t.pre.a.name:
-        return _reject("conclusion must apply the same weights on both sides")
-    if not _params_close(t.post.a.params, ws):
-        return _reject("postcondition weights differ")
-    psi = node.premises[0].conclusion.post.phi
-    for p in node.premises[1:]:
-        if not cl.formula_equal(p.conclusion.post.phi, psi):
-            return _reject("premise postcondition formulas must coincide")
-    if not cl.formula_equal(t.post.phi, psi):
-        return _reject("conclusion postcondition formula must be the shared one")
-    for i, p in enumerate(node.premises):
-        if not asrt.pred_equal(t.post.a.branches[i], p.conclusion.post.a):
-            return _reject("post branch %d does not match premise %d" % (i, i))
-    return NodeVerdict("accepted")
+    ws = _weights(node, _kraus_pre(node, interp), interp)
+    _require(isinstance(t.post.a, Kraus) and t.post.a.name == t.pre.a.name,
+             "conclusion must apply the same weights on both sides")
+    _require(_params_close(t.post.a.params, ws),
+             "postcondition weights differ")
+    _shared_posts(node)
 
 
-_CHECKERS = {
-    "Skip": _check_skip,
-    "Ass": _check_ass,
-    "Init": _check_init,
-    "Uni": _check_uni,
-    "Meas": _check_meas,
-    "Seq": _check_seq,
-    "Cond": _check_cond,
-    "LoopPar": _check_loop_par,
-    "LoopTot": _check_loop_tot,
-    "Conseq": _check_conseq,
-    "Accum1": _check_accum1,
-    "Accum2": _check_accum2,
-    "Convex1": _check_convex1,
-    "Convex2": _check_convex2,
+class _Rule(NamedTuple):
+    check: Callable  # (node, interp, domain, memo) -> side conditions
+    axiom: bool = False  # takes no premises
+    enumerates: bool = False  # reads the domain: enumerates classical states
+    mode: str = None  # the only correctness mode the rule derives
+
+
+_RULES = {
+    "Skip": _Rule(_check_skip, axiom=True),
+    "Ass": _Rule(_check_ass, axiom=True),
+    "Init": _Rule(_check_init, axiom=True),
+    "Uni": _Rule(_check_uni, axiom=True),
+    "Meas": _Rule(_check_meas, axiom=True),
+    "Seq": _Rule(_check_seq),
+    "Cond": _Rule(_check_cond),
+    "LoopPar": _Rule(_check_loop_par, mode="partial"),
+    "LoopTot": _Rule(_check_loop_tot, enumerates=True, mode="total"),
+    "Conseq": _Rule(_check_conseq, enumerates=True),
+    "Accum1": _Rule(_check_accum1, enumerates=True),
+    "Accum2": _Rule(_check_accum2),
+    "Convex1": _Rule(_check_convex1, enumerates=True),
+    "Convex2": _Rule(_check_convex2),
 }
 
-
-# the rules whose side conditions enumerate classical states; no other
-# checker reads the domain, so none is built for it
-_ENUMERATING = ("Conseq", "LoopTot", "Accum1", "Convex1")
+RULES = tuple(_RULES)
 
 
 def check_node(node, interp, domain=None, memo=None):
     """Verdict for one node given its premises' conclusions.  `memo` is an
     evaluation memo (see `assertions`) shared by the nodes of one script."""
-    checker = _CHECKERS.get(node.rule)
-    if checker is None:
+    rule = _RULES.get(node.rule)
+    if rule is None:
         return _reject("unknown rule %r" % node.rule)
-    if node.rule not in ("Seq", "Cond", "LoopPar", "LoopTot", "Conseq",
-                         "Accum1", "Accum2", "Convex1", "Convex2"):
-        if node.premises:
-            return _reject("axiom %s takes no premises" % node.rule)
-    if not _premise_modes_ok(node):
+    if rule.axiom and node.premises:
+        return _reject("axiom %s takes no premises" % node.rule)
+    if any(p.conclusion.mode != node.conclusion.mode for p in node.premises):
         return _reject("premise modes must match the conclusion")
-    if node.rule == "LoopPar" and node.conclusion.mode != "partial":
-        return _reject("LoopPar only derives partial-correctness triples")
-    if node.rule == "LoopTot" and node.conclusion.mode != "total":
-        return _reject("LoopTot only derives total-correctness triples")
-    if domain is None and node.rule in _ENUMERATING:
+    if rule.mode not in (None, node.conclusion.mode):
+        return _reject("%s only derives %s-correctness triples"
+                       % (node.rule, rule.mode))
+    if domain is None and rule.enumerates:
         domain = _domain_for(node, interp)
     try:
-        return checker(node, interp, domain, memo)
+        side = rule.check(node, interp, domain, memo)
+    except _Stop as stop:
+        return stop.verdict
     except la.DimensionCapError as e:
         return NodeVerdict("inconclusive", "too large to decide: %s" % e)
     except (cl.EvalError, la.LayoutError, ValueError) as e:
         return _reject("error while checking: %s" % e)
+    return NodeVerdict("accepted", side_conditions=side or [])
 
 
 def _post_order(node, path=()):

@@ -39,9 +39,18 @@ def _key_of(params):
             out.append(("f", round(p, 14)))
         elif isinstance(p, complex):
             out.append(("c", round(p.real, 14), round(p.imag, 14)))
-        else:
-            out.append(("v", p))
+        else:  # the type keeps True apart from 1
+            out.append((type(p), p))
     return tuple(out)
+
+
+def _check_params(kind, fam, params):
+    """Raise InterpError unless `params` are values of `fam.param_types`."""
+    types = fam.param_types
+    if len(params) != len(types) or not all(
+            t.contains(v) for t, v in zip(types, params)):
+        raise InterpError("%s %s takes parameters (%s), not %r" % (
+            kind, fam.name, ", ".join(map(str, types)), tuple(params)))
 
 
 @dataclass
@@ -62,6 +71,7 @@ class GateFamily:
         key = _key_of(params)
         if key in self._cache:
             return self._cache[key]
+        _check_params("gate", self, params)
         u = np.asarray(self.make(*params), dtype=complex)
         if u.shape != (self.dim, self.dim):
             raise InterpError("gate %s: wrong matrix shape" % self.name)
@@ -123,6 +133,7 @@ class KrausSymbol:
         key = _key_of(params)
         if key in self._cache:
             return self._cache[key]
+        _check_params("kraus symbol", self, params)
         ops = list(self.make(*params))
         if len(ops) != self.rank:
             raise InterpError("kraus symbol %s: wrong rank" % self.name)
@@ -166,6 +177,7 @@ class AtomicPredicate:
         key = _key_of(params)
         if key in self._cache:
             return self._cache[key]
+        _check_params("predicate", self, params)
         k = np.asarray(self.make(*params), dtype=complex)
         if k.shape != (self.dim, self.dim):
             raise InterpError("predicate %s: wrong matrix shape" % self.name)
@@ -207,7 +219,7 @@ def designated_name(kind, arg):
 def _sqrt_weight(p):
     """sqrt(p) for a weight p >= 0, up to rounding; raises when negative."""
     p = float(p)
-    if p < -1e-12:
+    if p < -cl.FLOAT_EQ:
         raise InterpError("negative weight %r" % p)
     return complex(math.sqrt(max(p, 0.0)))
 
@@ -373,9 +385,7 @@ class Interpretation:
                 "wrong subscript count for %r" % qvar.name)
         vals = []
         for s, t in zip(qvar.subs, decl.index_types or ()):
-            v = cl.eval_expr(sigma, s)
-            if isinstance(v, float) and abs(v - round(v)) < 1e-9:
-                v = int(round(v))
+            v = cl.near_int(cl.eval_expr(sigma, s))
             if not t.contains(v):
                 raise ResolutionError(
                     "subscript value %r out of range for %r" % (v, qvar.name))
@@ -452,12 +462,9 @@ class Interpretation:
         if gate:
             return KrausSymbol(name, 1, gate.param_types, gate.dims, lambda *ps:
                                [gate.matrix(ps, self.tolerances).conj().T])
-        if meas:
-            def make(m):
-                if m not in meas.operators:
-                    raise InterpError("measurement %s has no outcome %r" % (fam, m))
-                return [meas.operators[m].conj().T]
-            return KrausSymbol(name, 1, (meas.outcome_type,), meas.dims, make)
+        if meas:  # the outcome type is checked before `make` runs
+            return KrausSymbol(name, 1, (meas.outcome_type,), meas.dims,
+                               lambda m: [meas.operators[m].conj().T])
         return None
 
     def predicate(self, name):

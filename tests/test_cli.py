@@ -248,3 +248,28 @@ def test_oversized_predicate_check_is_inconclusive_and_exits_2(capsys, tmp_path)
     assert code == 2 and doc["status"] == "inconclusive"
     root = doc["nodes"][-1]
     assert root["status"] == "inconclusive" and "exceeds cap" in root["reason"]
+
+
+@pytest.mark.parametrize("param", ["0.5", "-3"])
+def test_run_of_a_gate_parameter_outside_its_type_exits_3(capsys, files, param):
+    _, interp, state = files
+    code, doc, err = run_cli(capsys, "--interp", interp, "run",
+                             "R(%s)[q]" % param, "--state", state)
+    assert code == 3 and doc is None
+    assert err.startswith("error:") and "Int(1..64)" in err
+
+
+def test_oversized_predicate_entail_is_inconclusive_and_exits_2(capsys, tmp_path):
+    n = 15
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps({"quantum_vars": {"q": {
+        "dim": 2, "indices": [{"kind": "int", "lo": 1, "hi": n}]}}}))
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(json.dumps(asrt.assertion_to_json(CqAssertion(
+        cl.TRUE, StateProj(asrt.tensor_all(
+            [asrt.Ket(cl.Lit(0), QVar("q", (cl.Lit(i),)))
+             for i in range(1, n + 1)]))))))
+    code, doc, _ = run_cli(capsys, "--interp", str(interp), "entail",
+                           str(zeros), str(zeros))
+    assert code == 2 and doc["status"] == "inconclusive"
+    assert "exceeds cap" in doc["reason"]

@@ -372,3 +372,11 @@ def test_designated_symbols_are_the_adjoints_of_run(seed, n, kind):
     a_op = la.embed(effect, [la.system_id(q.name) for q in qubits], layout)
     rhs = sum(la.trace_product(a_op, it.rho.mat) for it in out.items)
     assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("param", ["0.5", "-3"])
+def test_gate_parameters_outside_their_type_are_rejected(param):
+    # R declares Int(1..64); int() would read 0.5 as R(0), the identity
+    interp = small_interp()
+    with pytest.raises(st.InterpError, match="Int\\(1..64\\)"):
+        sem.run(prog("R(%s)[q1]" % param), basis_input(interp), 0, interp)

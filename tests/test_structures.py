@@ -185,3 +185,25 @@ def test_load_interpretation_rejects_bad_gate():
     doc = {"gates": {"BAD": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}}}
     with pytest.raises(st.InterpError):
         st.load_interpretation(doc)
+
+
+def test_parameters_are_checked_against_their_declared_types():
+    interp = st.default_interpretation()
+    for bad in ((0.5,), (-3,), (65,), (True,), ()):
+        with pytest.raises(st.InterpError, match="takes parameters"):
+            interp.gate("CR").matrix(bad)
+        with pytest.raises(st.InterpError, match="takes parameters"):
+            interp.kraus_symbol("F_R").operators(bad)
+    with pytest.raises(st.InterpError, match="takes parameters"):
+        interp.predicate("P0").matrix((1,))
+    with pytest.raises(st.InterpError, match="takes parameters"):
+        interp.kraus_symbol("F_M").operators((2,))
+    with pytest.raises(st.InterpError, match="takes parameters"):
+        interp.kraus_symbol("WSUM1").operators((1j,))
+
+
+def test_a_cached_parameter_does_not_admit_an_equal_value_of_another_type():
+    interp = st.default_interpretation()
+    assert la.is_unitary(interp.gate("R").matrix((1,)))
+    with pytest.raises(st.InterpError):
+        interp.gate("R").matrix((True,))
