@@ -445,38 +445,14 @@ class Verdict:
         return self.status == "holds"
 
 
-class Domain:
-    """Enumerable classical state space for entailment decisions."""
-
-    def __init__(self, typing):
-        self.typing = dict(typing)
-
-    @staticmethod
-    def from_interp(interp, names):
-        typing = {}
-        missing = []
-        for n in sorted(names):
-            t = interp.classical_vars.get(n)
-            if t is None or t.size() is None:
-                missing.append(n)
-            else:
-                typing[n] = t
-        return Domain(typing), missing
-
-    def states(self, names):
-        return cl.iter_states(self.typing, names)
-
-    def enumerate(self, names):
-        """Every state over `names`, or an inconclusive Verdict when a name
-        has no enumerable type or the state space exceeds the cap."""
-        missing = [n for n in sorted(names) if n not in self.typing]
-        if missing:
-            return Verdict("inconclusive",
-                           reason="no enumerable domain for %s" % ", ".join(missing))
-        try:
-            return list(self.states(names))
-        except cl.EvalError as e:
-            return Verdict("inconclusive", reason=str(e))
+def enumerate_states(names, interp):
+    """Every classical state over `names` under the interpretation's typing,
+    or an inconclusive Verdict when a name has no enumerable type or the
+    state space exceeds the cap."""
+    try:
+        return list(cl.iter_states(interp.classical_vars, names))
+    except cl.EvalError as e:
+        return Verdict("inconclusive", reason=str(e))
 
 
 def _loewner_le(ra, rb, interp):
@@ -492,8 +468,8 @@ def _loewner_le(ra, rb, interp):
     return la.is_psd(ob - oa, tol)
 
 
-def entails(phi, a, b, domain, interp, memo=None):
-    """phi |= A <= B by exhaustive enumeration of the domain.
+def entails(phi, a, b, interp, memo=None):
+    """phi |= A <= B by exhaustive enumeration of the classical states.
 
     At each satisfying sigma, A and B must agree on well-definedness, and
     where both are defined, B - A must be positive semidefinite up to
@@ -513,7 +489,7 @@ def entails(phi, a, b, domain, interp, memo=None):
     else:
         (_, ta, na), (_, tb, nb) = _intern(memo, a), _intern(memo, b)
         names, reflexive = cl.free_vars(phi).union(na, nb), ta == tb
-    states = domain.enumerate(names)
+    states = enumerate_states(names, interp)
     if isinstance(states, Verdict):
         return states
     checked = 0
@@ -533,8 +509,8 @@ def entails(phi, a, b, domain, interp, memo=None):
     return Verdict("holds", reason="%d states checked" % checked)
 
 
-def classical_entails(phi, psi, domain):
-    states = domain.enumerate(cl.free_vars(phi) | cl.free_vars(psi))
+def classical_entails(phi, psi, interp):
+    states = enumerate_states(cl.free_vars(phi) | cl.free_vars(psi), interp)
     if isinstance(states, Verdict):
         return states
     for sigma in states:
@@ -543,12 +519,12 @@ def classical_entails(phi, psi, domain):
     return Verdict("holds")
 
 
-def cq_entails(pre, post, domain, interp, memo=None):
+def cq_entails(pre, post, interp, memo=None):
     """(phi, A) |= (psi, B): classical entailment plus Loewner entailment."""
-    c = classical_entails(pre.phi, post.phi, domain)
+    c = classical_entails(pre.phi, post.phi, interp)
     if c.status != "holds":
         return c
-    return entails(pre.phi, pre.a, post.a, domain, interp, memo)
+    return entails(pre.phi, pre.a, post.a, interp, memo)
 
 
 # ---------------------------------------------------------------------------

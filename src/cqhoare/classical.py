@@ -586,41 +586,30 @@ def subst(expr, repl, var):
 # Enumeration of classical states
 
 
-def iter_states(typing, names=None, base=None, cap=DOMAIN_CAP):
-    """Yield all classical states over the given variable names.
+def state_count(typing, names):
+    """The number of classical states over the given variable names.
 
-    typing: dict name -> ClassicalType.  Raises EvalError when a needed
-    domain is not enumerable or the product exceeds the cap.
+    typing: dict name -> ClassicalType.  Raises EvalError naming every
+    variable that is undeclared or whose type is not enumerable.
     """
-    names = sorted(typing) if names is None else sorted(names)
-    total = 1
-    for n in names:
-        t = typing.get(n)
-        if t is None:
-            raise EvalError("no declared type for variable %r" % n)
-        size = t.size()
-        if size is None:
-            raise EvalError("type of %r is not enumerable" % n)
-        total *= size
-        if total > cap:
-            raise EvalError("state space size exceeds cap %d" % cap)
-    domains = [typing[n].values() for n in names]
-    base_b = dict(base.items()) if base is not None else {}
-    for combo in itertools.product(*domains):
-        b = dict(base_b)
-        b.update(zip(names, combo))
-        yield ClassicalState(b)
+    names = sorted(names)
+    sizes = [typing[n].size() if n in typing else None for n in names]
+    missing = [n for n, size in zip(names, sizes) if size is None]
+    if missing:
+        raise EvalError("no enumerable domain for %s" % ", ".join(missing))
+    return math.prod(sizes)
 
 
-def domain_size(typing, names):
-    total = 1
-    for n in sorted(names):
-        t = typing.get(n)
-        size = None if t is None else t.size()
-        if size is None:
-            return None
-        total *= size
-    return total
+def iter_states(typing, names):
+    """Yield all classical states over the given variable names.  Raises
+    EvalError as `state_count` does, or when there are more than DOMAIN_CAP
+    states.
+    """
+    names = sorted(names)
+    if state_count(typing, names) > DOMAIN_CAP:
+        raise EvalError("state space size exceeds cap %d" % DOMAIN_CAP)
+    for combo in itertools.product(*(typing[n].values() for n in names)):
+        yield ClassicalState(zip(names, combo))
 
 
 # ---------------------------------------------------------------------------

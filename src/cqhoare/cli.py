@@ -138,13 +138,10 @@ def _cmd_entail(args):
     pre = asrt.assertion_from_json(_read_json(args.pre))
     post = asrt.assertion_from_json(_read_json(args.post))
     if args.domain:
-        typing = {n: cl.type_from_json(t)
-                  for n, t in _read_json(args.domain).items()}
-        domain = asrt.Domain(typing)
-    else:
-        domain, _ = asrt.Domain.from_interp(interp, qs.classical_vars((pre, post)))
+        interp.classical_vars = {n: cl.type_from_json(t)
+                                 for n, t in _read_json(args.domain).items()}
     try:
-        v = asrt.cq_entails(pre, post, domain, interp)
+        v = asrt.cq_entails(pre, post, interp)
     except la.DimensionCapError as e:
         v = asrt.Verdict("inconclusive", reason="too large to decide: %s" % e)
     doc = {"status": v.status, "reason": v.reason, "version": __version__}

@@ -20,7 +20,7 @@ from . import structures as st
 from . import semantics as sem
 from . import assertions as asrt
 from . import prover as pv
-from .assertions import CqAssertion, StateProj, Kraus, Atomic, Domain
+from .assertions import CqAssertion, StateProj, Kraus, Atomic
 
 EXHAUSTIVE_SIGMA_CAP = 10 ** 4
 # Bound on the bytes of the input states run as one stack: the inputs of
@@ -141,24 +141,20 @@ def fuzz_triple(triple, interp, cfg=None):
     cfg = cfg or RunConfig()
     rng = np.random.default_rng(cfg.seed)
     names = qs.classical_vars(triple)
-    domain, missing = Domain.from_interp(interp, names)
-    if missing:
-        return FuzzReport(triple, triple.mode, [], "inconclusive", 0.0, cfg,
-                          reason="no enumerable domain for %s" % ", ".join(missing))
-
+    typing = interp.classical_vars
     try:
+        size = cl.state_count(typing, names)
         layout = interp.make_layout(interp.all_systems())
-    except (st.InterpError, la.DimensionCapError) as e:
+    except (cl.EvalError, st.InterpError, la.DimensionCapError) as e:
         return FuzzReport(triple, triple.mode, [], "inconclusive", 0.0, cfg,
                           reason=str(e))
 
-    size = cl.domain_size(domain.typing, names)
-    sampled = size is None or size > EXHAUSTIVE_SIGMA_CAP
+    sampled = size > EXHAUSTIVE_SIGMA_CAP
     if sampled:
-        sigmas = [_sample_sigma(rng, domain.typing, names)
+        sigmas = [_sample_sigma(rng, typing, names)
                   for _ in range(cfg.samples)]
     else:
-        sigmas = list(domain.states(names))
+        sigmas = list(cl.iter_states(typing, names))
 
     records = []
     skipped = 0

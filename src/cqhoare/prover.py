@@ -6,8 +6,9 @@ rule schemata is syntactic (`qsyntax.same_syntax`: programs, predicates and
 assertions compared node by node, their formulas up to and/or flattening,
 bound-variable renaming and literal types); semantic gaps must be bridged
 with Conseq, whose entailments are discharged by exhaustive enumeration of
-declared finite domains.  Side conditions over non-enumerable domains yield
-the verdict "inconclusive", never a silent pass.
+the classical states that the interpretation's declared types allow.  Side
+conditions over undeclared or non-enumerable variables yield the verdict
+"inconclusive", never a silent pass.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from . import linalg as la
 from . import qsyntax as qs
 from . import structures as st
 from . import assertions as asrt
-from .assertions import CqAssertion, Kraus, Verdict, Domain
+from .assertions import CqAssertion, Kraus, Verdict
 
 
 @dataclass(frozen=True)
@@ -115,17 +116,6 @@ def _require(ok, reason, side=()):
         _stop("rejected", reason, side)
 
 
-def _domain_for(node, interp):
-    """Enumeration domain for a node: the interpretation's typing for every
-    classical variable mentioned anywhere in the conclusion and witnesses."""
-    names = qs.classical_vars((node.conclusion, node.witnesses.get("t")))
-    for w in ("y", "z"):
-        if w in node.witnesses:
-            names.add(node.witnesses[w])
-    domain, _missing = Domain.from_interp(interp, names)
-    return domain
-
-
 def _split_last_conjunct(phi):
     parts = []
     cl._flatten("and", phi, parts)
@@ -208,13 +198,13 @@ def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
 # failing check.
 
 
-def _check_skip(node, interp, domain, memo):
+def _check_skip(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.Skip), "program is not skip")
     _require(qs.same_syntax(t.pre, t.post), "pre and post must be identical")
 
 
-def _check_ass(node, interp, domain, memo):
+def _check_ass(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.Assign), "program is not an assignment")
     x, e = t.program.var, t.program.expr
@@ -241,7 +231,7 @@ def axiom_pre(program, post_a, dim=None, y=None):
                  (asrt.subst_predicate(post_a, cl.Var(y), program.var),))
 
 
-def _check_init(node, interp, domain, memo):
+def _check_init(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.Init),
              "program is not an initialization")
@@ -253,7 +243,7 @@ def _check_init(node, interp, domain, memo):
              "precondition is not %s applied to the postcondition" % want.name)
 
 
-def _check_uni(node, interp, domain, memo):
+def _check_uni(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.Gate),
              "program is not a gate application")
@@ -265,7 +255,7 @@ def _check_uni(node, interp, domain, memo):
              "precondition is not %s applied to the postcondition" % want.name)
 
 
-def _check_meas(node, interp, domain, memo):
+def _check_meas(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.Measure), "program is not a measurement")
     y = node.witnesses.get("y")
@@ -284,7 +274,7 @@ def _check_meas(node, interp, domain, memo):
              "quantum precondition is not %s(y) applied to A[y/x]" % want.name)
 
 
-def _check_seq(node, interp, domain, memo):
+def _check_seq(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.Seq), "program is not a sequence")
     _require(len(node.premises) == 2, "sequence rule takes two premises")
@@ -298,7 +288,7 @@ def _check_seq(node, interp, domain, memo):
              "intermediate assertions do not match")
 
 
-def _check_cond(node, interp, domain, memo):
+def _check_cond(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.If), "program is not a conditional")
     _require(len(node.premises) == 2, "conditional rule takes two premises")
@@ -339,7 +329,7 @@ def _require_loop_exit(t):
              "invariant predicate must be preserved")
 
 
-def _check_loop_par(node, interp, domain, memo):
+def _check_loop_par(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.While), "program is not a loop")
     _require(len(node.premises) == 1, "loop rule takes one premise")
@@ -351,7 +341,7 @@ def _check_loop_par(node, interp, domain, memo):
     _require_loop_exit(t)
 
 
-def _check_loop_tot(node, interp, domain, memo):
+def _check_loop_tot(node, interp, memo):
     t = node.conclusion
     _require(isinstance(t.program, qs.While), "program is not a loop")
     _require(len(node.premises) == 2, "total loop rule takes two premises")
@@ -377,7 +367,7 @@ def _check_loop_tot(node, interp, domain, memo):
              "ranking variable %s is not fresh" % z)
     side = [("freshness", "holds", "z fresh")]
     # phi -> t >= 0, and t integer-valued, by enumeration
-    states = domain.enumerate(cl.free_vars(phi) | cl.free_vars(tv))
+    states = asrt.enumerate_states(cl.free_vars(phi) | cl.free_vars(tv), interp)
     if isinstance(states, Verdict):
         _stop("inconclusive", states.reason, side)
     for sigma in states:
@@ -393,13 +383,13 @@ def _check_loop_tot(node, interp, domain, memo):
     return side
 
 
-def _check_conseq(node, interp, domain, memo):
+def _check_conseq(node, interp, memo):
     t = node.conclusion
     _require(len(node.premises) == 1, "consequence rule takes one premise")
     tp = node.premises[0].conclusion
     _require(qs.same_syntax(tp.program, t.program), "premise program differs")
-    v1 = asrt.cq_entails(t.pre, tp.pre, domain, interp, memo)
-    v2 = asrt.cq_entails(tp.post, t.post, domain, interp, memo)
+    v1 = asrt.cq_entails(t.pre, tp.pre, interp, memo)
+    v2 = asrt.cq_entails(tp.post, t.post, interp, memo)
     side = [("pre-entailment", v1.status, v1.reason),
             ("post-entailment", v2.status, v2.reason)]
     for v in (v1, v2):
@@ -437,12 +427,14 @@ def _kraus_pre(node, interp):
     return sym
 
 
-def _disjoint_posts(node, domain, side):
+def _disjoint_posts(node, interp, side):
     """Accum1 and Convex1: the premises' postconditions {psi_i, B} share B,
     the conclusion's is {psi_1 or ... or psi_k, F'(B)}, and no classical
     state satisfies two psi_i.  Records that side condition and returns its
     verdict."""
     t = node.conclusion
+    _require(len(t.post.a.branches) == 1,
+             "conclusion postcondition symbol must take one branch")
     posts = [p.conclusion.post for p in node.premises]
     _require(all(asrt.pred_equal(q.a, posts[0].a) for q in posts[1:]),
              "premise postcondition predicates must coincide")
@@ -451,14 +443,14 @@ def _disjoint_posts(node, domain, side):
     psis = [q.phi for q in posts]
     _require(cl.formula_equal(t.post.phi, _or_all(psis)),
              "conclusion postcondition formula must be the disjunction")
-    mex = _mutual_exclusion(psis, domain)
+    mex = _mutual_exclusion(psis, interp)
     side.append(("mutual-exclusion", mex.status, mex.reason))
     _require(mex.status != "fails", mex.reason, side)
     return mex
 
 
-def _mutual_exclusion(psis, domain):
-    states = domain.enumerate(qs.classical_vars(psis))
+def _mutual_exclusion(psis, interp):
+    states = asrt.enumerate_states(qs.classical_vars(psis), interp)
     if isinstance(states, Verdict):
         return states
     for sigma in states:
@@ -474,6 +466,8 @@ def _shared_posts(node):
     psi, and the conclusion's is {psi, F(B_1, ..., B_k)}."""
     t = node.conclusion
     posts = [p.conclusion.post for p in node.premises]
+    _require(len(t.post.a.branches) == len(posts),
+             "conclusion postcondition symbol must take one branch per premise")
     _require(all(cl.formula_equal(q.phi, posts[0].phi) for q in posts[1:]),
              "premise postcondition formulas must coincide")
     _require(cl.formula_equal(t.post.phi, posts[0].phi),
@@ -541,7 +535,7 @@ def _weights(node, sym, interp):
     return ws
 
 
-def _check_accum1(node, interp, domain, memo):
+def _check_accum1(node, interp, memo):
     t = node.conclusion
     sym = _kraus_pre(node, interp)
     _require(isinstance(t.post.a, Kraus),
@@ -554,7 +548,7 @@ def _check_accum1(node, interp, domain, memo):
     _require(qs.same_syntax(t.post.a.targets, t.pre.a.targets),
              "pre and post symbol targets must match")
     side = []
-    mex = _disjoint_posts(node, domain, side)
+    mex = _disjoint_posts(node, interp, side)
     _targets_untouched(t, side)
     try:
         vals = _const_params(t.pre.a.params)
@@ -571,7 +565,7 @@ def _check_accum1(node, interp, domain, memo):
     return side
 
 
-def _check_accum2(node, interp, domain, memo):
+def _check_accum2(node, interp, memo):
     t = node.conclusion
     sym = _kraus_pre(node, interp)
     _require(isinstance(t.post.a, Kraus) and t.post.a.name == t.pre.a.name,
@@ -587,7 +581,7 @@ def _check_accum2(node, interp, domain, memo):
     return side
 
 
-def _check_convex1(node, interp, domain, memo):
+def _check_convex1(node, interp, memo):
     t = node.conclusion
     ws = _weights(node, _kraus_pre(node, interp), interp)
     _require(isinstance(t.post.a, Kraus)
@@ -596,13 +590,13 @@ def _check_convex1(node, interp, domain, memo):
     _require(_params_close(t.post.a.params, [max(ws)]),
              "postcondition weight is not the maximum")
     side = []
-    mex = _disjoint_posts(node, domain, side)
+    mex = _disjoint_posts(node, interp, side)
     if mex.status == "inconclusive":
         _stop("inconclusive", mex.reason, side)
     return side
 
 
-def _check_convex2(node, interp, domain, memo):
+def _check_convex2(node, interp, memo):
     t = node.conclusion
     ws = _weights(node, _kraus_pre(node, interp), interp)
     _require(isinstance(t.post.a, Kraus) and t.post.a.name == t.pre.a.name,
@@ -613,9 +607,8 @@ def _check_convex2(node, interp, domain, memo):
 
 
 class _Rule(NamedTuple):
-    check: Callable  # (node, interp, domain, memo) -> side conditions
+    check: Callable  # (node, interp, memo) -> side conditions
     axiom: bool = False  # takes no premises
-    enumerates: bool = False  # reads the domain: enumerates classical states
     mode: str = None  # the only correctness mode the rule derives
 
 
@@ -628,18 +621,18 @@ _RULES = {
     "Seq": _Rule(_check_seq),
     "Cond": _Rule(_check_cond),
     "LoopPar": _Rule(_check_loop_par, mode="partial"),
-    "LoopTot": _Rule(_check_loop_tot, enumerates=True, mode="total"),
-    "Conseq": _Rule(_check_conseq, enumerates=True),
-    "Accum1": _Rule(_check_accum1, enumerates=True),
+    "LoopTot": _Rule(_check_loop_tot, mode="total"),
+    "Conseq": _Rule(_check_conseq),
+    "Accum1": _Rule(_check_accum1),
     "Accum2": _Rule(_check_accum2),
-    "Convex1": _Rule(_check_convex1, enumerates=True),
+    "Convex1": _Rule(_check_convex1),
     "Convex2": _Rule(_check_convex2),
 }
 
 RULES = tuple(_RULES)
 
 
-def check_node(node, interp, domain=None, memo=None):
+def check_node(node, interp, memo=None):
     """Verdict for one node given its premises' conclusions.  `memo` is an
     evaluation memo (see `assertions`) shared by the nodes of one script."""
     rule = _RULES.get(node.rule)
@@ -652,10 +645,8 @@ def check_node(node, interp, domain=None, memo=None):
     if rule.mode not in (None, node.conclusion.mode):
         return _reject("%s only derives %s-correctness triples"
                        % (node.rule, rule.mode))
-    if domain is None and rule.enumerates:
-        domain = _domain_for(node, interp)
     try:
-        side = rule.check(node, interp, domain, memo)
+        side = rule.check(node, interp, memo)
     except _Stop as stop:
         return stop.verdict
     except la.DimensionCapError as e:
@@ -672,11 +663,11 @@ def _post_order(node, path=()):
     yield ".".join(str(i) for i in path) or "root", node
 
 
-def check_script(root, interp, domain=None):
+def check_script(root, interp):
     """Bottom-up check of a whole proof tree.  Formal states are evaluated
     at most once per classical state across the whole script."""
     memo = {}
-    return CheckReport([(path, node.rule, check_node(node, interp, domain, memo))
+    return CheckReport([(path, node.rule, check_node(node, interp, memo))
                         for path, node in _post_order(root)])
 
 
@@ -726,8 +717,24 @@ def _witness_from_json(d):
         elif k in ("y", "z"):
             out[k] = _variable_name(k, v)
         else:
+            if k in _WITNESS_TYPES and not _WITNESS_TYPES[k][1](v):
+                raise qs.ParseError("witness %s is not %s: %r"
+                                    % (k, _WITNESS_TYPES[k][0], v))
             out[k] = v
     return out
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# The numeric witnesses: what each must be, and its test.
+_WITNESS_TYPES = {
+    "weights": ("a list of numbers", lambda v: isinstance(v, list) and all(
+        _is_int(w) or isinstance(w, float) for w in v)),
+    "samples": ("a positive integer", lambda v: _is_int(v) and v > 0),
+    "seed": ("an integer", _is_int),
+}
 
 
 def _variable_name(k, v):

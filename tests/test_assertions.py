@@ -7,7 +7,7 @@ from cqhoare import qsyntax as qs
 from cqhoare import structures as st
 from cqhoare import assertions as asrt
 from cqhoare.assertions import (Atomic, StateProj, Neg, PTensor, Kraus,
-                                CqAssertion, Domain)
+                                CqAssertion)
 from cqhoare.qsyntax import QVar
 
 from conftest import subst_interp, random_predicate, random_expr
@@ -187,48 +187,43 @@ def test_classical_vars_and_substitution_reach_every_expression():
 
 def test_entailment_holds_and_fails():
     interp = interp2()
-    dom = Domain({"x": cl.IntType(0, 3)})
     p0 = Atomic("P0", (), (QVar("q1"),))
     id1 = Atomic("ID1", (), (QVar("q1"),))
-    assert asrt.entails(cl.TRUE, p0, id1, dom, interp).holds
-    v = asrt.entails(cl.TRUE, id1, p0, dom, interp)
+    assert asrt.entails(cl.TRUE, p0, id1, interp).holds
+    v = asrt.entails(cl.TRUE, id1, p0, interp)
     assert v.status == "fails"
     # conditioned on an unsatisfiable formula everything holds
-    assert asrt.entails(cl.FALSE, id1, p0, dom, interp).holds
+    assert asrt.entails(cl.FALSE, id1, p0, interp).holds
 
 
 def test_entailment_across_different_signatures():
     interp = interp2()
-    dom = Domain({})
     p0 = Atomic("P0", (), (QVar("q1"),))
     both = PTensor(p0, Atomic("ID1", (), (QVar("q2"),)))
-    assert asrt.entails(cl.TRUE, p0, both, dom, interp).status == "holds"
+    assert asrt.entails(cl.TRUE, p0, both, interp).status == "holds"
 
 
 def test_entailment_inconclusive_without_domain():
     interp = interp2()
-    dom = Domain({})
     p0 = Atomic("P0", (), (QVar("q1"),))
-    v = asrt.entails(cl.BinOp("=", cl.Var("w"), cl.Lit(0)), p0, p0, dom, interp)
-    assert v.status == "inconclusive"
+    v = asrt.entails(cl.BinOp("=", cl.Var("w"), cl.Lit(0)), p0, p0, interp)
+    assert (v.status, v.reason) == ("inconclusive", "no enumerable domain for w")
 
 
 def test_cq_entails_checks_classical_side():
     interp = interp2()
-    dom = Domain({"x": cl.IntType(0, 3)})
     p0 = Atomic("P0", (), (QVar("q1"),))
     pre = CqAssertion(cl.BinOp("=", cl.Var("x"), cl.Lit(1)), p0)
     post = CqAssertion(cl.BinOp("<=", cl.Lit(1), cl.Var("x")), p0)
-    assert asrt.cq_entails(pre, post, dom, interp).holds
-    assert asrt.cq_entails(post, pre, dom, interp).status == "fails"
+    assert asrt.cq_entails(pre, post, interp).holds
+    assert asrt.cq_entails(post, pre, interp).status == "fails"
 
 
 def test_wd_disagreement_fails_entailment():
     interp = interp2()
-    dom = Domain({})
     ok = Atomic("P0", (), (QVar("q1"),))
     nwd = PTensor(ok, ok)  # overlapping, never well-defined
-    assert asrt.entails(cl.TRUE, ok, nwd, dom, interp).status == "fails"
+    assert asrt.entails(cl.TRUE, ok, nwd, interp).status == "fails"
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +281,12 @@ def _counting_eval(monkeypatch):
 
 def test_reflexive_entailment_evaluates_one_side(monkeypatch):
     interp = interp2()
-    dom = Domain({"x": cl.IntType(0, 3)})
     a = _product_ket(cl.Lit(1))
     calls = _counting_eval(monkeypatch)
-    plain = asrt.entails(cl.TRUE, a, a, dom, interp)
+    plain = asrt.entails(cl.TRUE, a, a, interp)
     assert len(calls) == 8
     del calls[:]
-    memoized = asrt.entails(cl.TRUE, a, a, dom, interp, {})
+    memoized = asrt.entails(cl.TRUE, a, a, interp, {})
     assert len(calls) == 4
     assert (plain.status, plain.reason) == (memoized.status, memoized.reason)
     assert memoized.reason == "4 states checked"
@@ -300,12 +294,11 @@ def test_reflexive_entailment_evaluates_one_side(monkeypatch):
 
 def test_memo_tells_literal_types_apart(monkeypatch):
     interp = interp2()
-    dom = Domain({"x": cl.IntType(0, 3)})
     one, true = _product_ket(cl.Lit(1)), _product_ket(cl.Lit(True))
     assert one == true  # dataclass equality merges them
     calls = _counting_eval(monkeypatch)
     memo = {}
-    v = asrt.entails(cl.TRUE, one, true, dom, interp, memo)
+    v = asrt.entails(cl.TRUE, one, true, interp, memo)
     assert v.holds and v.reason == "4 states checked"
     assert len(calls) == 8  # not reflexive: both sides at every sigma
     t1 = asrt._intern(memo, one.state)[1]
@@ -362,11 +355,9 @@ def test_oversized_domain_is_inconclusive_without_listing_values(monkeypatch):
     monkeypatch.setattr(cl.IntType, "values", values)
     interp = interp2()
     interp.declare_classical("w", _HUGE)
-    dom, missing = Domain.from_interp(interp, {"w", "x"})
-    assert missing == [] and dom.typing["w"] == _HUGE
-    assert cl.domain_size(dom.typing, {"w", "x"}) == 4 * (10 ** 6 + 1)
+    assert cl.state_count(interp.classical_vars, {"w", "x"}) == 4 * (10 ** 6 + 1)
     p0 = Atomic("P0", (), (QVar("q1"),))
-    v = asrt.entails(cl.BinOp("=", cl.Var("w"), cl.Var("x")), p0, p0, dom, interp)
+    v = asrt.entails(cl.BinOp("=", cl.Var("w"), cl.Var("x")), p0, p0, interp)
     assert v.status == "inconclusive" and "exceeds cap" in v.reason
 
 
@@ -415,7 +406,7 @@ def _entailment_table():
 def test_entailment_verdicts_for_every_predicate_kind(memo):
     interp = interp2()
     for a, b, holds, _ in _entailment_table():
-        v = asrt.entails(cl.TRUE, a, b, Domain({}), interp, memo)
+        v = asrt.entails(cl.TRUE, a, b, interp, memo)
         assert v.status == ("holds" if holds else "fails"), (a, b)
 
 
@@ -431,7 +422,7 @@ def test_fallback_kinds_are_compared_densely(monkeypatch):
     _forbid(monkeypatch, "min_eig_difference")
     for a, b, holds, factored in _entailment_table():
         if not factored:
-            assert asrt.entails(cl.TRUE, a, b, Domain({}), interp).holds == holds
+            assert asrt.entails(cl.TRUE, a, b, interp).holds == holds
 
 
 def test_factored_kinds_build_no_dense_operator(monkeypatch):
@@ -439,10 +430,10 @@ def test_factored_kinds_build_no_dense_operator(monkeypatch):
     pairs = [(a, b, holds) for a, b, holds, factored in _entailment_table()
              if factored]
     for a, b, _ in pairs:  # a Kraus symbol checks its operators on first use
-        asrt.entails(cl.TRUE, a, b, Domain({}), interp)
+        asrt.entails(cl.TRUE, a, b, interp)
     _forbid(monkeypatch, "embed", "is_psd")
     for a, b, holds in pairs:
-        assert asrt.entails(cl.TRUE, a, b, Domain({}), interp).holds == holds
+        assert asrt.entails(cl.TRUE, a, b, interp).holds == holds
 
 
 def test_kraus_factor_stacks_its_branches():
@@ -474,7 +465,6 @@ def test_psd_tolerance_decides_on_the_factored_path(monkeypatch):
         cl.Call("cos", (t,)), asrt.Ket(cl.Lit(0), Q1),
         cl.Call("sin", (t,)), asrt.Ket(cl.Lit(1), Q1)))
     _forbid(monkeypatch, "embed", "is_psd")
-    dom = Domain({})
-    assert asrt.entails(cl.TRUE, tilted, _proj("|0>_q1"), dom, interp).status == "fails"
+    assert asrt.entails(cl.TRUE, tilted, _proj("|0>_q1"), interp).status == "fails"
     interp.tolerances = la.Tolerances(psd=1e-5)
-    assert asrt.entails(cl.TRUE, tilted, _proj("|0>_q1"), dom, interp).holds
+    assert asrt.entails(cl.TRUE, tilted, _proj("|0>_q1"), interp).holds

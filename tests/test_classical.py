@@ -92,8 +92,12 @@ def test_iter_states_and_domain_size():
     typing = {"x": cl.IntType(0, 2), "b": cl.BoolType()}
     states = list(cl.iter_states(typing, {"x", "b"}))
     assert len(states) == 6
-    assert cl.domain_size(typing, {"x", "b"}) == 6
-    assert cl.domain_size({"r": cl.RealType()}, {"r"}) is None
+    assert cl.state_count(typing, {"x", "b"}) == 6
+    typing["r"] = cl.RealType()
+    with pytest.raises(cl.EvalError, match="^no enumerable domain for r, w$"):
+        cl.state_count(typing, {"x", "w", "r"})
+    with pytest.raises(cl.EvalError, match="^no enumerable domain for r$"):
+        next(cl.iter_states(typing, set(typing)))
 
 
 def test_type_sizes_match_their_values():

@@ -89,7 +89,9 @@ def test_check_exit_codes(capsys, tmp_path):
 
 @pytest.mark.parametrize("witnesses", [
     {"y": [1]}, {"z": {"name": "y"}}, {"y": "not a name"}, {"z": "and"},
-    {"y": ""}, {"t": 5}, ["y"]])
+    {"y": ""}, {"t": 5}, ["y"], {"weights": 5}, {"weights": ["0.5"]},
+    {"weights": [True]}, {"samples": 0}, {"samples": 2.5}, {"samples": "9"},
+    {"seed": "1"}, {"seed": 1.0}])
 def test_malformed_witness_exits_3(capsys, tmp_path, witnesses):
     doc = pv.node_to_json(qft.generate_qft(1)[1])
     doc["witnesses"] = witnesses
@@ -273,3 +275,26 @@ def test_oversized_predicate_entail_is_inconclusive_and_exits_2(capsys, tmp_path
                            str(zeros), str(zeros))
     assert code == 2 and doc["status"] == "inconclusive"
     assert "exceeds cap" in doc["reason"]
+
+
+def test_entail_domain_file_replaces_the_declared_types(capsys, files):
+    tmp_path, interp, _ = files
+    paths = []
+    for name, phi in (("pre", "1 <= x"), ("post", "x = 1")):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({"phi": phi, "a": {
+            "kind": "atomic", "name": "ID1", "targets": ["q"]}}))
+        paths.append(str(path))
+    domain = tmp_path / "domain.json"
+
+    def entail(*extra):
+        return run_cli(capsys, "--interp", interp, "entail", *paths, *extra)
+
+    code, doc, _ = entail()  # x in 0..1
+    assert code == 0 and doc["status"] == "holds"
+    domain.write_text(json.dumps({"x": {"kind": "int", "lo": 0, "hi": 2}}))
+    code, doc, _ = entail("--domain", str(domain))
+    assert code == 1 and doc["witness"] == {"x": 2}
+    domain.write_text(json.dumps({}))
+    code, doc, _ = entail("--domain", str(domain))
+    assert code == 2 and doc["reason"] == "no enumerable domain for x"

@@ -6,7 +6,6 @@ from cqhoare import classical as cl
 from cqhoare import linalg as la
 from cqhoare import qsyntax as qs
 from cqhoare import structures as st
-from cqhoare import assertions as asrt
 from cqhoare import prover as pv
 from cqhoare import harness as hz
 from cqhoare import qft
@@ -116,6 +115,15 @@ def test_unenumerable_domain_is_inconclusive():
     assert r.verdict == "inconclusive"
 
 
+def test_undeclared_variable_is_inconclusive():
+    interp = interp1()
+    a = Atomic("ID1", (), (QVar("q"),))
+    t = pv.HoareTriple(CqAssertion(cl.BinOp("=", cl.Var("w"), cl.Lit(0)), a),
+                       qs.Skip(), CqAssertion(cl.TRUE, a))
+    r = hz.fuzz_triple(t, interp, hz.RunConfig(samples=3, seed=0))
+    assert (r.verdict, r.reason) == ("inconclusive", "no enumerable domain for w")
+
+
 def test_oversized_ambient_register_is_inconclusive():
     interp = st.default_interpretation()
     interp.declare_quantum("q", 2, (cl.IntType(1, 15),))
@@ -153,11 +161,9 @@ def _records_input_by_input(triple, interp, cfg):
     `trace_product` per input (enumerable domains only)."""
     rng = np.random.default_rng(cfg.seed)
     names = qs.classical_vars(triple)
-    domain, missing = asrt.Domain.from_interp(interp, names)
-    assert not missing
     layout = interp.make_layout(interp.all_systems())
     records, inputs = [], None
-    for sigma in domain.states(names):
+    for sigma in cl.iter_states(interp.classical_vars, names):
         if not cl.satisfies(sigma, triple.pre.phi):
             continue
         a_op = hz._embedded(sigma, triple.pre.a, layout, interp)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +118,24 @@ def test_conseq_inconclusive_without_enumerable_domain(corpus):
     assert pv.check_node(node, interp).status == "inconclusive"
 
 
+def test_conseq_decides_a_premise_variable_the_conclusion_lacks(corpus):
+    """x is declared but appears only in the premise: the entailments range
+    over the interpretation's typing, not over the conclusion's names."""
+    interp, _, _ = corpus
+    p0 = Atomic("P0", (), (QVar("q1"),))
+    top = CqAssertion(cl.TRUE, p0)
+
+    def conseq(premise_phi):
+        a = CqAssertion(qs.parse_formula(premise_phi), p0)
+        skip = pv.ProofNode("Skip", pv.HoareTriple(a, qs.Skip(), a))
+        return pv.ProofNode("Conseq", pv.HoareTriple(top, qs.Skip(), top),
+                            (skip,))
+
+    assert pv.check_node(conseq("x = 0 or x = 1"), interp).accepted
+    v = pv.check_node(conseq("x = 0"), interp)
+    assert (v.status, v.reason) == ("rejected", "classical entailment fails")
+
+
 def test_loop_rules_respect_mode(corpus):
     interp, accepted, _ = corpus
     par = accepted["loop"]
@@ -194,6 +213,23 @@ def test_convex1_max_weight(corpus):
                                       t.post.a.branches))),
         node.premises, witnesses={"weights": [0.5]})
     assert pv.check_node(wrong_max, interp).status == "rejected"
+
+
+@pytest.mark.parametrize("name, count", [
+    ("convex_mix", 1), ("convex_mix", 4), ("convex_max", 2)])
+def test_convex_post_symbol_takes_one_branch_per_premise_shape(corpus, name,
+                                                              count):
+    """Convex1's post symbol takes one branch, Convex2's one per premise;
+    any other count is rejected before a branch is read."""
+    interp, accepted, _ = corpus
+    node = accepted[name]
+    t = node.conclusion
+    branches = (t.post.a.branches * count)[:count]
+    post = CqAssertion(t.post.phi, replace(t.post.a, branches=branches))
+    bad = pv.ProofNode(node.rule, pv.HoareTriple(t.pre, t.program, post),
+                       node.premises, node.witnesses)
+    v = pv.check_node(bad, interp)
+    assert v.status == "rejected" and "postcondition symbol must take" in v.reason
 
 
 # One value more than DOMAIN_CAP: enumerating it must give "inconclusive".
