@@ -13,7 +13,7 @@ import numpy as np
 from . import classical as cl
 from . import linalg as la
 from . import qsyntax as qs
-from .qsyntax import QVar, _Parser, ParseError, format_expr, format_qvar
+from .qsyntax import QVar, _LEVEL, _Parser, ParseError, format_expr, format_qvar
 
 
 class AssertionError_(ValueError):
@@ -581,7 +581,7 @@ class _StateParser(_Parser):
     def fatom(self):
         if self.at_sym("|"):
             self.take()
-            value = self.additive()
+            value = self.expr(_LEVEL["+"])  # a sum; ">" closes the ket
             self.expect("SYM", ">")
             t = self.peek()
             if t.kind == "IDENT" and len(t.text) > 1 and t.text[0] == "_":

@@ -253,7 +253,8 @@ class DensityOperator:
     def validate(self, tol=Tolerances()):
         if not is_hermitian(self.mat, tol.hermitian):
             raise ValueError("density matrix is not hermitian")
-        if not is_psd(self.mat, tol.psd):
+        # is_psd would re-check hermiticity at its own, tighter tolerance
+        if not is_psd((self.mat + self.mat.conj().T) / 2, tol.psd):
             raise ValueError("density matrix is not positive semidefinite")
         if self.trace() > 1 + tol.trace:
             raise ValueError("density matrix trace exceeds 1")

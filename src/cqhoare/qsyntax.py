@@ -14,11 +14,15 @@ A right-hand side of the form NAME[...] is read as a measurement when NAME
 is in the caller-provided measurement set, or, when none is given, when
 NAME starts with an uppercase letter; otherwise it is a bit-array index
 expression.
+Expressions are read by precedence climbing over one table, `_LEVEL`, which
+`format_expr` also reads to parenthesize; the README's "Concrete syntax"
+section lists the operators in its order.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
 import functools
 import math
+import re
 
 from . import classical as cl
 from .classical import (
@@ -150,77 +154,44 @@ class Tok:
     col: int
 
 
+# One alternative per token kind, tried in this order at each position;
+# `_SYMBOLS` is longest first, so the alternation takes the longest symbol.
+_TOKEN = re.compile(
+    r"(?P<WS>[ \t\r\n]+|#[^\n]*)"
+    r"|(?P<NUM>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<IDENT>(?:[^\W\d_]|_(?=[^\W_]))\w*)"  # a lone "_" is the ket marker
+    r"|(?P<SYM>%s)|(?P<BAD>.)" % "|".join(map(re.escape, _SYMBOLS)))
+
+
 def tokenize(src):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    if not isinstance(src, str):
+        raise ParseError("expected text, got %s" % type(src).__name__)
+    toks, line, bol = [], 1, 0  # bol: index where the current line begins
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - bol + 1
+        if kind == "WS":
+            if "\n" in text:
+                line += text.count("\n")
+                bol = m.start() + text.rindex("\n") + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            isfloat = False
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                isfloat = True
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    isfloat = True
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            toks.append(Tok("NUM", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_" and i + 1 < n and src[i + 1].isalnum():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            # a lone underscore is the ket subscript marker, not an ident
-            if word == "_":
-                toks.append(Tok("SYM", "_", line, col))
-            else:
-                toks.append(Tok("KW" if word in _KEYWORDS else "IDENT", word, line, col))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for s in _SYMBOLS:
-            if src.startswith(s, i):
-                matched = s
-                break
-        if matched is None:
-            raise ParseError("unexpected character %r" % c, line, col)
-        toks.append(Tok("SYM", matched, line, col))
-        i += len(matched)
-        col += len(matched)
-    toks.append(Tok("EOF", "", line, col))
+        # `[^\W\d_]` also admits numerals such as "²", which are not letters
+        if kind == "BAD" or kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError("unexpected character %r" % text[0], line, col)
+        toks.append(Tok("KW" if text in _KEYWORDS else kind, text, line, col))
+    toks.append(Tok("EOF", "", line, len(src) - bol + 1))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+# How tightly each binary operator binds, loosest first; the parser and
+# `format_expr` both read it.  Prefix "not" binds at _NOT, unary minus at _NEG.
+_LEVEL = {"->": 1, "or": 2, "and": 3,
+          "=": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
+          "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
+_NOT, _NEG = 4, 8
+
 
 class _Parser:
     def __init__(self, src, measurements=None, allow_sections=False):
@@ -381,10 +352,14 @@ class _Parser:
             out.append(self.expr())
         return out
 
-    # -- expressions (lowest precedence first)
+    # -- expressions
 
-    def expr(self):
-        if self.at("KW", "forall") or self.at("KW", "exists"):
+    def expr(self, level=0):
+        """An expression whose binary operators bind at `level` or tighter,
+        by precedence climbing over `_LEVEL`: "->" groups to the right, the
+        other operators to the left, and comparisons do not chain.  A
+        quantifier is read only at level 0 and "not" only up to `_NOT`."""
+        if level == 0 and (self.at("KW", "forall") or self.at("KW", "exists")):
             kind = self.take().text
             var = self.expect("IDENT").text
             self.expect("KW", "in")
@@ -394,56 +369,19 @@ class _Parser:
             self.expect("SYM", ".")
             body = self.expr()
             return Quant(kind, var, cl.IntType(int(lo.text), int(hi.text)), body)
-        return self.implies()
-
-    def implies(self):
-        l = self.disjunct()
-        if self.at_sym("->"):
+        if level <= _NOT and self.at("KW", "not"):
             self.take()
-            return BinOp("->", l, self.implies())
-        return l
-
-    def disjunct(self):
-        l = self.conjunct()
-        while self.at("KW", "or"):
+            left, bound = UnOp("not", self.expr(_NOT)), _NOT - 1
+        else:
+            left, bound = self.unary(), _NEG
+        while True:  # `bound`: the tightest level the next operator may have
+            op = self.peek().text
+            lvl = _LEVEL.get(op, -1)
+            if not level <= lvl <= bound:
+                return left
             self.take()
-            l = BinOp("or", l, self.conjunct())
-        return l
-
-    def conjunct(self):
-        l = self.negation()
-        while self.at("KW", "and"):
-            self.take()
-            l = BinOp("and", l, self.negation())
-        return l
-
-    def negation(self):
-        if self.at("KW", "not"):
-            self.take()
-            return UnOp("not", self.negation())
-        return self.comparison()
-
-    def comparison(self):
-        l = self.additive()
-        for op in ("<=", ">=", "!=", "=", "<", ">"):
-            if self.at_sym(op):
-                self.take()
-                return BinOp(op, l, self.additive())
-        return l
-
-    def additive(self):
-        l = self.multiplicative()
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.take().text
-            l = BinOp(op, l, self.multiplicative())
-        return l
-
-    def multiplicative(self):
-        l = self.unary()
-        while self.at_sym("*") or self.at_sym("/") or self.at_sym("%"):
-            op = self.take().text
-            l = BinOp(op, l, self.unary())
-        return l
+            left = BinOp(op, left, self.expr(lvl if op == "->" else lvl + 1))
+            bound = lvl - 1 if lvl == _LEVEL["="] else lvl
 
     def unary(self):
         if self.at_sym("-"):
@@ -530,7 +468,7 @@ def parse_once(cache, parse, text, *args):
     """parse(text, *args), reusing the tree already made from the same text
     with the same `parse` when `cache`, a dict the caller keeps for one
     document, holds one.  `args` must not vary within a cache."""
-    if cache is None:
+    if cache is None or not isinstance(text, str):  # the parser reports non-text
         return parse(text, *args)
     key = (parse, text)
     tree = cache.get(key)
@@ -544,8 +482,8 @@ def parse_once(cache, parse, text, *args):
 
 
 def format_expr(e, prec=0):
-    """Precedence levels: 1 implies, 2 or, 3 and, 4 not, 5 cmp, 6 add,
-    7 mul, 8 unary."""
+    """`e` as text, parenthesized by the parser's levels (`_LEVEL`, `_NOT`
+    and `_NEG`) where it sits at a level looser than `prec`."""
     def wrap(s, lvl):
         return "(" + s + ")" if lvl < prec else s
 
@@ -565,12 +503,10 @@ def format_expr(e, prec=0):
         return "%s(%s)" % (e.fn, ", ".join(format_expr(a) for a in e.args))
     if isinstance(e, UnOp):
         if e.op == "not":
-            return wrap("not " + format_expr(e.arg, 4), 4)
-        return wrap("-" + format_expr(e.arg, 8), 8)
+            return wrap("not " + format_expr(e.arg, _NOT), _NOT)
+        return wrap("-" + format_expr(e.arg, _NEG), _NEG)
     if isinstance(e, BinOp):
-        lvl = {"->": 1, "or": 2, "and": 3,
-               "=": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
-               "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}[e.op]
+        lvl = _LEVEL[e.op]
         sep = " %s " % e.op
         if e.op == "->":
             s = format_expr(e.left, lvl + 1) + sep + format_expr(e.right, lvl)

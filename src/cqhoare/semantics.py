@@ -131,6 +131,10 @@ def step(config, interp):
     p, s = config.program, config.state
     if p is None:
         raise SemanticsError("configuration already terminated")
+    # (a; b); c steps as a; (b; c), so a left-nested sequence of any
+    # length costs one recursion and leaves a right-nested residual
+    while isinstance(p, qs.Seq) and isinstance(p.first, qs.Seq):
+        p = qs.Seq(p.first.first, qs.Seq(p.first.second, p.second))
     if isinstance(p, qs.Seq):
         inner = step(Configuration(p.first, s), interp)
         succ = []

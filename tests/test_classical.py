@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from cqhoare import classical as cl
+from cqhoare import qsyntax as qs
 from cqhoare.qsyntax import parse_expr, parse_formula, format_expr
 
 
@@ -160,12 +161,32 @@ def test_substitution_lemma_for_expressions(e, r, x, xv, yv):
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_format_expr_parse_roundtrip():
-    for src in ("x + y * 2", "(x + y) * 2", "-x % 4", "x = 1 and y < 2",
-                "not (x = 1) or y != 0", "x -> y = 1",
-                "forall i in 0..3 . i <= x"):
-        e = parse_formula(src)
-        assert cl.formula_equal(parse_formula(format_expr(e)), e)
+_names = hst.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(
+    lambda n: n not in qs._KEYWORDS and n != "pi")
+_floats = hst.floats(min_value=0.0, allow_nan=False, allow_infinity=False).filter(
+    lambda v: math.copysign(1.0, v) > 0 and (v == math.pi or abs(v - math.pi) >= 1e-15))
+# The printable subset: negative literals print as "-1" and read back as
+# unary minus, so every literal here is non-negative.
+_printable = hst.recursive(
+    hst.one_of(hst.booleans().map(cl.Lit), hst.integers(0, 10 ** 20).map(cl.Lit),
+               _floats.map(cl.Lit), _names.map(cl.Var)),
+    lambda sub: hst.one_of(
+        hst.builds(cl.BinOp, hst.sampled_from(sorted(qs._LEVEL)), sub, sub),
+        hst.builds(cl.UnOp, hst.sampled_from(["not", "-"]), sub),
+        hst.builds(cl.BitIndex, _names, sub),
+        hst.builds(cl.BinFrac, _names, sub, sub),
+        hst.builds(cl.Call, _names, hst.lists(sub, max_size=2).map(tuple)),
+        hst.builds(lambda kind, var, lo, n, body: cl.Quant(
+            kind, var, cl.IntType(lo, lo + n), body),
+            hst.sampled_from(["forall", "exists"]), _names,
+            hst.integers(0, 3), hst.integers(0, 3), sub)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_printable)
+def test_format_expr_parse_roundtrip(e):
+    assert repr(parse_expr(format_expr(e))) == repr(e)
 
 
 def test_boolean_operators_check_every_operand_they_evaluate():

@@ -298,3 +298,43 @@ def test_entail_domain_file_replaces_the_declared_types(capsys, files):
     domain.write_text(json.dumps({}))
     code, doc, _ = entail("--domain", str(domain))
     assert code == 2 and doc["reason"] == "no enumerable domain for x"
+
+
+_CONCLUSION = ("conclusion",)
+_UNI_PRE = ("premises", 0, "conclusion", "pre", "a")
+
+
+@pytest.mark.parametrize("cmd, path, value, kind", [
+    ("check", _CONCLUSION + ("pre", "phi"), 5, "int"),
+    ("check", _CONCLUSION + ("pre", "phi"), None, "NoneType"),
+    ("check", _CONCLUSION + ("pre", "phi"), ["x"], "list"),
+    ("check", _CONCLUSION + ("pre", "a"), {"kind": "proj", "state": 7}, "int"),
+    ("check", _CONCLUSION + ("program",), 5, "int"),
+    ("check", _UNI_PRE + ("params",), [1], "int"),
+    ("check", _UNI_PRE + ("targets",), [3], "int"),
+    ("eval-assert", ("phi",), 1, "int"),
+])
+def test_non_text_field_exits_3(capsys, tmp_path, files, cmd, path, value, kind):
+    """Every formula, state, program, parameter and target reaches the
+    checker as text; anything else is a parse error naming its type."""
+    if cmd == "check":
+        interp, target = _uni_probe(tmp_path, {})
+        extra = []
+    else:
+        _, interp, state = files
+        target = str(tmp_path / "assertion.json")
+        extra = ["--state", state]
+        with open(target, "w") as f:
+            json.dump({"phi": "true", "a": {
+                "kind": "atomic", "name": "P0", "targets": ["q"]}}, f)
+    with open(target) as f:
+        doc = json.load(f)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with open(target, "w") as f:
+        json.dump(doc, f)
+    assert cli.main(["--interp", interp, cmd, target, *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expected text, got %s" % kind in err

@@ -80,6 +80,14 @@ def test_density_operator_validation():
         la.DensityOperator(lay, np.eye(3))
 
 
+def test_density_operator_validation_takes_the_hermitian_tolerance():
+    lay = layout("a")
+    rho = la.DensityOperator(lay, np.array([[0.5, 0.1 + 1e-7j], [0.1, 0.5]]))
+    with pytest.raises(ValueError, match="not hermitian"):
+        rho.validate()
+    rho.validate(la.Tolerances(hermitian=1e-6))
+
+
 def test_apply_and_trace_product():
     lay = layout("a")
     rho = la.pure_state(la.basis_vector(0, 2), lay)

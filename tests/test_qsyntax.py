@@ -2,6 +2,7 @@ import pytest
 
 from cqhoare import classical as cl
 from cqhoare import qsyntax as qs
+from cqhoare import assertions as asrt
 
 
 def rt(src, **kw):
@@ -126,3 +127,55 @@ def test_long_sequences_need_no_recursion():
         left = qs.Seq(left, qs.Skip())
     assert qs.seq_parts(left) == [qs.Skip()] * 2000
     assert qs.pretty(left) == "; ".join(["skip"] * 2000)
+
+
+a, b, c, x = (cl.Var(n) for n in "abcx")
+_PINNED = [
+    # comparisons do not chain; "not" is not an operand of a comparison,
+    # and a quantifier is not an operand of a binary operator
+    ("a < b < c", None),
+    ("x and a < b < c", None),
+    ("a = not b", None),
+    ("a and forall i in 0..1 . b", None),
+    ("not a = b", cl.UnOp("not", cl.BinOp("=", a, b))),
+    ("a -> b -> c", cl.BinOp("->", a, cl.BinOp("->", b, c))),
+    ("a - b - c", cl.BinOp("-", cl.BinOp("-", a, b), c)),
+    ("- - 1", cl.UnOp("-", cl.UnOp("-", cl.Lit(1)))),
+    ("(not a) < b", cl.BinOp("<", cl.UnOp("not", a), b)),
+    ("0.j[1:2]", cl.BinFrac("j", cl.Lit(1), cl.Lit(2))),
+    ("1e5", cl.Lit(1e5)),
+    ("1e", None),  # the number 1, then the name e
+    ("2.5e-3", cl.Lit(2.5e-3)),
+]
+
+
+@pytest.mark.parametrize("src, tree", _PINNED)
+def test_pinned_expressions(src, tree):
+    if tree is None:
+        with pytest.raises(qs.ParseError):
+            qs.parse_expr(src)
+    else:
+        assert repr(qs.parse_expr(src)) == repr(tree)
+
+
+def test_ket_value_is_a_sum():
+    s = asrt.parse_state("|x + 1>_q")
+    assert repr(s) == repr(asrt.Ket(cl.BinOp("+", x, cl.Lit(1)), qs.QVar("q")))
+
+
+def test_tokens_after_a_comment_and_non_decimal_digits():
+    # the end of input sits after a trailing comment, not at its start
+    assert [(t.kind, t.col) for t in qs.tokenize("x # c")] == [("IDENT", 1), ("EOF", 6)]
+    assert [t.text for t in qs.tokenize("1e")] == ["1", "e", ""]
+    # a number is decimal digits: a superscript is no digit and no letter
+    with pytest.raises(qs.ParseError, match="unexpected character '\u00b2'"):
+        qs.parse_program("x := \u00b2")
+
+
+def test_long_operator_chain_needs_no_recursion():
+    e = qs.parse_expr(" + ".join(["x"] * 5000))
+    depth = 0
+    while isinstance(e, cl.BinOp):
+        assert e.op == "+" and e.right == x
+        e, depth = e.left, depth + 1
+    assert e == x and depth == 4999

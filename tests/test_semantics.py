@@ -209,6 +209,28 @@ def test_run_and_structural_sem_agree_on_a_long_sequence():
     assert a.blocked_trace == b.blocked_trace == 0.0
 
 
+def test_run_and_structural_sem_agree_on_a_long_left_nested_sequence():
+    """((skip; H[q1]); H[q1]) ... 3000 deep, then a measurement, a loop
+    and skip: `step` re-associates the spine instead of recursing down it,
+    and its residual comes out right-nested, as `structural_sem` builds it."""
+    interp = small_interp()
+    p = qs.Skip()
+    for _ in range(3000):
+        p = qs.Seq(p, qs.Gate("H", (), (qs.QVar("q1"),)))
+    for c in (qs.Measure("x", "M", (qs.QVar("q3"),)),
+              prog("while x = 1 do H[q3]; x := M[q3] od"), qs.Skip()):
+        p = qs.Seq(p, c)
+    st = random_input(np.random.default_rng(13), interp)
+    st = sem.CqState(cl.ClassicalState({"x": 0, "y": 0}), st.rho)
+    a = sem.run(p, st, 1, interp)
+    b = sem.structural_sem(p, st, 1, interp)
+    assert len(a.items) == len(b.items) == 2
+    assert sem.multiset_equal(a.items, b.items, tol=1e-12)
+    assert len(a.residual) == len(b.residual) == 1
+    assert a.residual[0].program == b.residual[0].program
+    assert abs(a.residual_trace() - b.residual_trace()) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Stacked runs: one branch tree, masses per member
 
