@@ -1,9 +1,10 @@
 """Formal quantum states, quantum predicate formulas and cq-assertions.
 
-Evaluation is per classical state sigma and partial: an evaluation either
-yields an effect on the Hilbert space of the resolved signature or is
-"not well-defined" (overlapping signatures, failed distinctness, or a
-formal state of norm other than 1; never silently renormalized).
+Evaluation is per classical state sigma, batched over a tuple of them, and
+partial: an evaluation either yields an effect on the Hilbert space of the
+resolved signature or is "not well-defined" (overlapping signatures, failed
+distinctness, or a formal state of norm other than 1; never silently
+renormalized).
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -123,6 +124,31 @@ def superpose_sum(terms):
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# Evaluation is batched: a formal state or predicate is evaluated at a tuple
+# of classical states, its batch, and gives one result stacked over the
+# members, on one layout.  A batch whose members do not evaluate alike
+# raises _Mixed; its caller then evaluates each member as a batch of one,
+# which never does.  A leaf expression is evaluated once per distinct
+# restriction of the members to what it reads (`cl.reads`).
+
+
+class _Mixed(Exception):
+    """The members of a batch differ in resolved targets, layout,
+    parameters or well-definedness, or one of them raises, or their dense
+    effects would not fit in STACK_BYTES together."""
+
+
+# the most bytes a batch's stacked D x D effects may take
+STACK_BYTES = 2 ** 26
+
+
+def _dense_shape(sigmas, layout):
+    """(S, D, D) for the dense effects of a batch of S on `layout`."""
+    d = layout.dim
+    if len(sigmas) > 1 and 16 * len(sigmas) * d * d > STACK_BYTES:
+        raise _Mixed
+    return len(sigmas), d, d
 
 
 def _to_index(v, dim, what):
@@ -151,6 +177,76 @@ def _resolve_distinct(interp, sigma, targets, what):
     return sids
 
 
+def _read_key(sigma, item):
+    """Hashable form of the part of sigma that an item of `cl.reads` names."""
+    if isinstance(item, str):
+        return _value_key(sigma.get(item, _unbound))
+    name, r = item
+    v = sigma.get(name, _unbound)
+    if not isinstance(v, cl.Bits):
+        return _value_key(v)
+    k = r - v.lo
+    return (cl.Bits, v.bits[k] if 0 <= k < len(v.bits) else None)
+
+
+def _agree(reasons):
+    """Return when no member has a NotWellDefined reason; raise the reason
+    when every member has the same one, and _Mixed otherwise."""
+    first = reasons[0]
+    if any(r != first for r in reasons):
+        raise _Mixed
+    if first is not None:
+        raise NotWellDefined(first)
+
+
+def _each(sigmas, exprs, fn):
+    """[fn(sigma) for sigma in sigmas], with fn called once per distinct
+    restriction of sigma to what the expressions `exprs` read.  In a batch
+    of one, fn's errors pass through; in a larger batch, any error but a
+    NotWellDefined that every member raises alike is _Mixed."""
+    if len(sigmas) == 1:
+        return [fn(sigmas[0])]
+    items = tuple(set().union(*map(cl.reads, exprs)))
+    done, out = {}, []
+    for sigma in sigmas:
+        key = tuple(_read_key(sigma, x) for x in items)
+        if key not in done:
+            try:
+                done[key] = fn(sigma)
+            except NotWellDefined as e:
+                done[key] = e
+            except Exception as e:  # raised again by the member alone
+                raise _Mixed from e
+        out.append(done[key])
+    _agree([v.reason if isinstance(v, NotWellDefined) else None for v in out])
+    return out
+
+
+def _same(sigmas, exprs, fn, key=lambda v: v):
+    """fn's value as `_each` computes it, which every member must share
+    (compared by `key`), or _Mixed."""
+    values = _each(sigmas, exprs, fn)
+    if len(values) > 1:
+        first = key(values[0])
+        if any(key(v) != first for v in values[1:]):
+            raise _Mixed
+    return values[0]
+
+
+def _params(sigmas, exprs):
+    """The values of parameter expressions, one tuple for the batch."""
+    if not exprs:
+        return ()
+    return _same(sigmas, exprs, lambda s: tuple(cl.eval_expr(s, e) for e in exprs),
+                 key=lambda ps: tuple(map(_value_key, ps)))
+
+
+def _targets(sigmas, interp, targets, what):
+    """The resolved, distinct systems of `targets`, one list for the batch."""
+    return _same(sigmas, (e for q in targets for e in q.subs),
+                 lambda s: _resolve_distinct(interp, s, targets, what))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation memo
 #
@@ -161,8 +257,13 @@ def _resolve_distinct(interp, sigma, targets, what):
 #                        from being reused while the memo lives
 #   ("tree", key)     -> token: one token per tree, literals compared with
 #                        their types, so Lit(1), Lit(1.0) and Lit(True) differ
-#   (token, *values)  -> (vector, layout), or the NotWellDefined reason, of a
-#                        formal state at the values of its classical variables
+#   ("rows", rows)    -> token: one token per batch restricted to some names,
+#                        `rows` holding each member's values of them
+#   ("batch", id(batch), names) -> (batch, token): that token, made once per
+#                        batch object of more than one member and names
+#   (token, batch token) -> (stack, layout), the NotWellDefined reason, or
+#                        _Mixed, of a formal state at a batch restricted to
+#                        its classical variables
 #   ("layout", systems) -> the one layout object those entries share
 #   ("tensor", id(l1), id(l2)) -> (l1, l2, (layout, dims, perm)), or
 #                        (l1, l2, reason): for a tensor of states on two of
@@ -222,64 +323,86 @@ def sigma_key(sigma):
     return tuple((n, _value_key(v)) for n, v in sigma.key())
 
 
-def _eval_state(sigma, s, interp, memo=None):
-    """Returns (vector, layout); raises NotWellDefined.  With a memo, each
-    state is evaluated once per sigma restricted to its variables; other
-    errors are not stored and recur on the next call."""
+def _batch_token(memo, sigmas, names):
+    """Token of a batch restricted to `names`: batches whose members agree
+    on those values, in order, share it."""
+    key = ("batch", id(sigmas), names)
+    hit = memo.get(key) if len(sigmas) > 1 else None
+    if hit is None:
+        rows = tuple(tuple(_value_key(s.get(n, _unbound)) for n in names)
+                     for s in sigmas)
+        hit = (sigmas, memo.setdefault(("rows", rows), len(memo)))
+        if len(sigmas) > 1:  # holding the batch keeps its id from reuse
+            memo[key] = hit
+    return hit[1]
+
+
+def _eval_state(sigmas, s, interp, memo=None):
+    """(stack, layout): the formal state's vector at each member of the
+    batch `sigmas`, stacked S x D on one layout.  Raises NotWellDefined
+    when every member is not well-defined for one reason, and _Mixed when
+    the members differ.  With a memo, each state is evaluated once per
+    batch restricted to its variables; other errors are not stored and
+    recur on the next call."""
     if memo is None:
-        return _eval_state_node(sigma, s, interp, None)
+        return _eval_state_node(sigmas, s, interp, None)
     _, token, names = _intern(memo, s)
-    key = (token,) + tuple(_value_key(sigma.get(n, _unbound)) for n in names)
+    key = (token, _batch_token(memo, sigmas, names))
     hit = memo.get(key)
     if hit is None:
         try:
-            vec, layout = _eval_state_node(sigma, s, interp, memo)
+            vec, layout = _eval_state_node(sigmas, s, interp, memo)
         except NotWellDefined as e:
             hit = e.reason
+        except _Mixed:
+            hit = _Mixed
         else:
             vec = np.array(vec)  # a compact copy, free of the views it came from
             vec.flags.writeable = False
             hit = (vec, memo.setdefault(("layout", layout.systems), layout))
         memo[key] = hit
+    if hit is _Mixed:
+        raise _Mixed
     if isinstance(hit, str):
         raise NotWellDefined(hit)
     return hit
 
 
-def _eval_state_node(sigma, s, interp, memo):
+def _eval_state_node(sigmas, s, interp, memo):
     if isinstance(s, Ket):
-        sid = interp.resolve(sigma, s.qvar)
+        sid = _same(sigmas, s.qvar.subs, lambda x: interp.resolve(x, s.qvar))
         dim = interp.dim_of(sid)
-        idx = _to_index(cl.eval_expr(sigma, s.value), dim, "ket label")
-        layout = la.RegisterLayout(((sid, dim),))
-        return la.basis_vector(idx, dim), layout
+        idx = _each(sigmas, (s.value,), lambda x: _to_index(
+            cl.eval_expr(x, s.value), dim, "ket label"))
+        vec = np.zeros((len(sigmas), dim), dtype=complex)
+        vec[np.arange(len(sigmas)), idx] = 1.0
+        return vec, la.RegisterLayout(((sid, dim),))
     if isinstance(s, STensor):
-        v1, l1 = _eval_state(sigma, s.left, interp, memo)
-        v2, l2 = _eval_state(sigma, s.right, interp, memo)
+        v1, l1 = _eval_state(sigmas, s.left, interp, memo)
+        v2, l2 = _eval_state(sigmas, s.right, interp, memo)
         layout, dims, perm = _tensor_layout(l1, l2, interp, memo)
-        vec = np.outer(v1, v2).ravel()
+        vec = (v1[:, :, None] * v2[:, None, :]).reshape(len(sigmas), -1)
         if perm is not None:
             vec = la.permute_vector(vec, dims, perm)
         return vec, layout
     if isinstance(s, Superpose):
-        a1 = complex(cl.eval_expr(sigma, s.c1))
-        a2 = complex(cl.eval_expr(sigma, s.c2))
-        v1, l1 = _eval_state(sigma, s.s1, interp, memo)
-        v2, l2 = _eval_state(sigma, s.s2, interp, memo)
+        a1 = _each(sigmas, (s.c1,), lambda x: complex(cl.eval_expr(x, s.c1)))
+        a2 = _each(sigmas, (s.c2,), lambda x: complex(cl.eval_expr(x, s.c2)))
+        v1, l1 = _eval_state(sigmas, s.s1, interp, memo)
+        v2, l2 = _eval_state(sigmas, s.s2, interp, memo)
         if set(l1.ids) != set(l2.ids):
             raise NotWellDefined("superposed states have different signatures")
         v2 = la.embed_vector(v2, list(l2.ids), l1)
-        return a1 * v1 + a2 * v2, l1
+        return np.array(a1)[:, None] * v1 + np.array(a2)[:, None] * v2, l1
     if isinstance(s, GateApp):
-        v, layout = _eval_state(sigma, s.state, interp, memo)
+        v, layout = _eval_state(sigmas, s.state, interp, memo)
         gate = interp.gate(s.gate)
-        sids = _resolve_distinct(interp, sigma, s.targets, "gate targets")
+        sids = _targets(sigmas, interp, s.targets, "gate targets")
         for sid in sids:
             if sid not in layout:
                 raise NotWellDefined("gate target outside the state signature")
-        params = tuple(cl.eval_expr(sigma, e) for e in s.params)
-        u = gate.matrix(params, interp.tolerances)
-        return la.apply_left(u, v, sids, layout), layout
+        u = gate.matrix(_params(sigmas, s.params), interp.tolerances)
+        return la.apply_left(u, v[..., None], sids, layout)[..., 0], layout
     raise AssertionError_("unknown formal state node %r" % (s,))
 
 
@@ -310,22 +433,34 @@ def _tensor_layout(l1, l2, interp, memo):
     return hit[2]
 
 
-def eval_state(sigma, s, interp, memo=None):
-    """Evaluate a formal state; well-defined only at norm 1, up to the trace
-    tolerance.  The vector is read-only when it comes from a memo."""
-    vec, layout = _eval_state(sigma, s, interp, memo)
-    n = float(np.linalg.norm(vec))
-    if abs(n - 1.0) > interp.tolerances.trace:
-        raise NotWellDefined("state norm %.6g differs from 1" % n)
+def _unit_state(sigmas, s, interp, memo):
+    """`_eval_state`, well-defined only at norm 1, up to the trace tolerance."""
+    vec, layout = _eval_state(sigmas, s, interp, memo)
+    tol = interp.tolerances.trace
+    # the stacked norms are within 1e-12 of each member's own, so only a
+    # stack with a norm near or past the tolerance needs those
+    if not np.all(np.abs(np.linalg.norm(vec, axis=-1) - 1.0) <= tol - 1e-12):
+        norms = [float(np.linalg.norm(v)) for v in vec]
+        _agree(["state norm %.6g differs from 1" % n if abs(n - 1.0) > tol
+                else None for n in norms])
     return vec, layout
+
+
+def eval_state(sigma, s, interp, memo=None):
+    """Evaluate a formal state at one classical state, the batch of one;
+    well-defined only at norm 1.  The vector is read-only when it comes
+    from a memo."""
+    vec, layout = _unit_state((sigma,), s, interp, memo)
+    return vec[0], layout
 
 
 @dataclass
 class EvalResult:
-    """A predicate's effect at one classical state.  Where the predicate has
-    a factor V (D x r, effect V V^dagger), `factor` holds it and `op`
-    builds the D x D effect only when it is asked for; otherwise `op` is
-    the effect, computed densely."""
+    """A predicate's effect, stacked over the members of a batch, or at one
+    classical state (`member`).  Where the predicate has a factor V (D x r,
+    effect V V^dagger), `factor` holds it and `op` builds the D x D effect
+    only when it is asked for; otherwise `op` is the effect, computed
+    densely."""
 
     well_defined: bool
     layout: object = None
@@ -336,40 +471,50 @@ class EvalResult:
     @property
     def op(self):
         if self.dense is None and self.factor is not None:
-            v = self.factor  # one column: np.outer, as a projector always was
-            self.dense = (np.outer(v[:, 0], v[:, 0].conj()) if v.shape[1] == 1
-                          else v @ v.conj().T)
+            v = self.factor  # one column: an outer product, as np.outer builds it
+            self.dense = (v * v[..., :1].conj().swapaxes(-1, -2) if v.shape[-1] == 1
+                          else v @ v.conj().swapaxes(-1, -2))
         return self.dense
 
+    def member(self, i):
+        """The result at the i-th member of the batch."""
+        return EvalResult(self.well_defined, self.layout, self.reason,
+                          None if self.factor is None else self.factor[i],
+                          None if self.dense is None else self.dense[i])
 
-def _eval_pred(sigma, a, interp, memo=None):
-    """A well-defined EvalResult, with a factor where the predicate has
-    one; raises NotWellDefined."""
+
+def _eval_pred(sigmas, a, interp, memo=None):
+    """A well-defined EvalResult stacked over the batch `sigmas`, with a
+    factor where the predicate has one; raises NotWellDefined or _Mixed as
+    `_eval_state` does."""
     if isinstance(a, StateProj):
-        vec, layout = eval_state(sigma, a.state, interp, memo=memo)
-        return EvalResult(True, layout, factor=vec[:, None])
+        vec, layout = _unit_state(sigmas, a.state, interp, memo)
+        return EvalResult(True, layout, factor=vec[..., None])
     if isinstance(a, Atomic):
         fam = interp.predicate(a.name)
-        params = tuple(cl.eval_expr(sigma, e) for e in a.params)
-        k = fam.matrix(params, interp.tolerances)
-        sids = _resolve_distinct(interp, sigma, a.targets, "predicate targets")
+        k = fam.matrix(_params(sigmas, a.params), interp.tolerances)
+        sids = _targets(sigmas, interp, a.targets, "predicate targets")
         layout = interp.make_layout(sids)
         dims = tuple(layout.dim_of(s) for s in sids)
         if dims != tuple(fam.dims):
             raise AssertionError_(
                 "predicate %s dimension mismatch" % a.name)
-        return EvalResult(True, layout, dense=la.embed(k, sids, layout))
+        shape = _dense_shape(sigmas, layout)
+        return EvalResult(True, layout, dense=la.embed(k, sids, layout)[None].repeat(
+            shape[0], axis=0))
     if isinstance(a, Neg):
-        r = _eval_pred(sigma, a.arg, interp, memo)
+        r = _eval_pred(sigmas, a.arg, interp, memo)
+        _dense_shape(sigmas, r.layout)
         return EvalResult(True, r.layout,
                           dense=np.eye(r.layout.dim, dtype=complex) - r.op)
     if isinstance(a, PTensor):
-        r1 = _eval_pred(sigma, a.left, interp, memo)
-        r2 = _eval_pred(sigma, a.right, interp, memo)
+        r1 = _eval_pred(sigmas, a.left, interp, memo)
+        r2 = _eval_pred(sigmas, a.right, interp, memo)
         l1, l2 = r1.layout, r2.layout
         if set(l1.ids) & set(l2.ids):
             raise NotWellDefined("overlapping signatures in predicate tensor")
         layout = la.union_layout(l1, l2, interp.order_key)
+        _dense_shape(sigmas, layout)
         o2 = la.embed(r2.op, l2.ids, layout)
         return EvalResult(True, layout,
                           dense=la.apply_left(r1.op, o2, l1.ids, layout))
@@ -378,18 +523,17 @@ def _eval_pred(sigma, a, interp, memo=None):
         if len(a.branches) != sym.rank:
             raise AssertionError_(
                 "kraus symbol %s expects %d branches" % (a.name, sym.rank))
-        params = tuple(cl.eval_expr(sigma, e) for e in a.params)
-        ops = sym.operators(params, interp.tolerances)
-        evs = [_eval_pred(sigma, b, interp, memo) for b in a.branches]
+        ops = sym.operators(_params(sigmas, a.params), interp.tolerances)
+        evs = [_eval_pred(sigmas, b, interp, memo) for b in a.branches]
         layout = evs[0].layout
         for r in evs[1:]:
             layout = la.union_layout(layout, r.layout, interp.order_key)
         if sym.dims is None:
-            out = np.zeros((layout.dim, layout.dim), dtype=complex)
+            out = np.zeros(_dense_shape(sigmas, layout), dtype=complex)
             for c, r in zip(ops, evs):
                 out += (abs(c) ** 2) * la.embed(r.op, list(r.layout.ids), layout)
             return EvalResult(True, layout, dense=out)
-        sids = _resolve_distinct(interp, sigma, a.targets, "kraus targets")
+        sids = _targets(sigmas, interp, a.targets, "kraus targets")
         for sid in sids:
             if sid not in layout:
                 raise NotWellDefined("kraus target outside branch signature")
@@ -399,9 +543,10 @@ def _eval_pred(sigma, a, interp, memo=None):
         if all(r.factor is not None and r.layout.systems == layout.systems
                for r in evs):
             # E V per branch: the effect sum E V V^dagger E^dagger, factored
-            return EvalResult(True, layout, factor=np.hstack(
-                [la.apply_left(f, r.factor, sids, layout) for f, r in zip(ops, evs)]))
-        out = np.zeros((layout.dim, layout.dim), dtype=complex)
+            return EvalResult(True, layout, factor=np.concatenate(
+                [la.apply_left(f, r.factor, sids, layout) for f, r in zip(ops, evs)],
+                axis=-1))
+        out = np.zeros(_dense_shape(sigmas, layout), dtype=complex)
         for f, r in zip(ops, evs):
             b = la.embed(r.op, list(r.layout.ids), layout)
             out += la.conjugate(f, b, sids, layout)
@@ -409,11 +554,17 @@ def _eval_pred(sigma, a, interp, memo=None):
     raise AssertionError_("unknown predicate node %r" % (a,))
 
 
-def eval_predicate(sigma, a, interp, memo=None):
+def _eval_result(sigmas, a, interp, memo):
+    """`_eval_pred`, with a uniform NotWellDefined as its result."""
     try:
-        return _eval_pred(sigma, a, interp, memo)
+        return _eval_pred(sigmas, a, interp, memo)
     except NotWellDefined as e:
         return EvalResult(False, reason=e.reason)
+
+
+def eval_predicate(sigma, a, interp, memo=None):
+    """The predicate's EvalResult at one classical state, the batch of one."""
+    return _eval_result((sigma,), a, interp, memo).member(0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +606,75 @@ def enumerate_states(names, interp):
         return Verdict("inconclusive", reason=str(e))
 
 
-def _loewner_le(ra, rb, interp):
-    """A <= B up to the psd tolerance, for two well-defined results: on
-    their factors when both have one on the same systems, else densely."""
+# the most members decided together: a batch of vectors takes S x D entries
+BATCH_CAP = 64
+
+
+def _satisfying(states, phi):
+    """The states that satisfy phi, in batches of up to BATCH_CAP, in order.
+    An error of phi at a state is raised once the batch before it is
+    decided."""
+    part = []
+    for sigma in states:
+        try:
+            ok = cl.satisfies(sigma, phi)
+        except Exception:  # raised once the states before sigma are decided
+            if part:
+                yield tuple(part)
+            raise
+        if ok:
+            part.append(sigma)
+            if len(part) == BATCH_CAP:
+                yield tuple(part)
+                part = []
+    if part:
+        yield tuple(part)
+
+
+def _loewner_le(batch, ra, rb, interp):
+    """Per member, A <= B up to the psd tolerance, for two well-defined
+    results stacked over the batch: on their factors when both have one on
+    the same systems, else densely."""
     tol = interp.tolerances.psd
     if ra.factor is not None and rb.factor is not None and \
             ra.layout.systems == rb.layout.systems:
         return la.min_eig_difference(ra.factor, rb.factor) >= -tol
     layout = la.union_layout(ra.layout, rb.layout, interp.order_key)
+    _dense_shape(batch, layout)
     oa = la.embed(ra.op, list(ra.layout.ids), layout)
     ob = la.embed(rb.op, list(rb.layout.ids), layout)
     return la.is_psd(ob - oa, tol)
+
+
+def _batch_failure(batch, a, b, reflexive, interp, memo):
+    """(index, reason) of the first member at which A <= B fails, or None;
+    raises _Mixed when the members do not evaluate alike."""
+    ra = _eval_result(batch, a, interp, memo)
+    if reflexive:
+        return None
+    rb = _eval_result(batch, b, interp, memo)
+    if ra.well_defined != rb.well_defined:
+        return 0, "well-definedness disagrees"
+    if ra.well_defined:
+        bad = np.flatnonzero(~_loewner_le(batch, ra, rb, interp))
+        if bad.size:
+            return int(bad[0]), "Loewner order fails"
+    return None
+
+
+def _first_failure(batch, a, b, reflexive, interp, memo):
+    """`_batch_failure`, member by member when the batch cannot be decided
+    together."""
+    if len(batch) > 1:
+        try:
+            return _batch_failure(batch, a, b, reflexive, interp, memo)
+        except (_Mixed, np.linalg.LinAlgError):
+            pass
+    for i, sigma in enumerate(batch):
+        failure = _batch_failure((sigma,), a, b, reflexive, interp, memo)
+        if failure is not None:
+            return i, failure[1]
+    return None
 
 
 def entails(phi, a, b, interp, memo=None):
@@ -480,10 +689,17 @@ def entails(phi, a, b, interp, memo=None):
     Kraus symbols and branches on differing layouts are compared as dense
     D x D effects.
 
+    The satisfying states are decided in batches of up to BATCH_CAP, in
+    enumeration order: A and B are evaluated once per batch, and one stacked
+    decomposition decides every member.  A batch whose members do not
+    evaluate alike is decided member by member.  Either way the verdict,
+    the witness (the first failing state) and any error raised are those
+    of deciding one state after another.
+
     With a memo, the classical variables of A and B come from their memo
     entries, and A and B that are the same tree are reflexive: A is still
-    evaluated at every sigma, so its errors and well-definedness decide as
-    before, but B and the Loewner comparison (B - A = 0) are skipped."""
+    evaluated, so its errors and well-definedness decide as before, but B
+    and the Loewner comparison (B - A = 0) are skipped."""
     if memo is None:
         names, reflexive = qs.classical_vars((phi, a, b)), False
     else:
@@ -493,19 +709,11 @@ def entails(phi, a, b, interp, memo=None):
     if isinstance(states, Verdict):
         return states
     checked = 0
-    for sigma in states:
-        if not cl.satisfies(sigma, phi):
-            continue
-        checked += 1
-        ra = eval_predicate(sigma, a, interp, memo)
-        if reflexive:
-            continue
-        rb = eval_predicate(sigma, b, interp, memo)
-        if ra.well_defined != rb.well_defined:
-            return Verdict("fails", witness=sigma,
-                           reason="well-definedness disagrees")
-        if ra.well_defined and not _loewner_le(ra, rb, interp):
-            return Verdict("fails", witness=sigma, reason="Loewner order fails")
+    for batch in _satisfying(states, phi):
+        failure = _first_failure(batch, a, b, reflexive, interp, memo)
+        if failure is not None:
+            return Verdict("fails", witness=batch[failure[0]], reason=failure[1])
+        checked += len(batch)
     return Verdict("holds", reason="%d states checked" % checked)
 
 

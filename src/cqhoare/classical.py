@@ -513,27 +513,45 @@ def satisfies(state, formula):
 # Free variables and substitution
 
 
-def free_vars(expr):
+def _int_lit(e):
+    return isinstance(e, Lit) and type(e.value) is int
+
+
+def reads(expr, bits=True):
+    """What `eval_expr` reads of a state: (name, r) for bit r of a bit array
+    indexed only at that literal position (`BitIndex`, `BinFrac`), and
+    otherwise the name of the whole variable.  States that agree on these
+    agree on the value, or on the error.  With `bits` false, only names."""
     if isinstance(expr, Lit):
         return set()
     if isinstance(expr, Var):
         return {expr.name}
     if isinstance(expr, BinOp):
-        return free_vars(expr.left) | free_vars(expr.right)
+        return reads(expr.left, bits) | reads(expr.right, bits)
     if isinstance(expr, UnOp):
-        return free_vars(expr.arg)
+        return reads(expr.arg, bits)
     if isinstance(expr, BitIndex):
-        return {expr.array} | free_vars(expr.index)
+        if bits and _int_lit(expr.index):
+            return {(expr.array, expr.index.value)}
+        return {expr.array} | reads(expr.index, bits)
     if isinstance(expr, BinFrac):
-        return {expr.array} | free_vars(expr.lo) | free_vars(expr.hi)
+        lo, hi = expr.lo, expr.hi
+        if bits and _int_lit(lo) and _int_lit(hi) and lo.value <= hi.value:
+            return {(expr.array, r) for r in range(lo.value, hi.value + 1)}
+        return {expr.array} | reads(lo, bits) | reads(hi, bits)
     if isinstance(expr, Call):
         out = set()
         for a in expr.args:
-            out |= free_vars(a)
+            out |= reads(a, bits)
         return out
     if isinstance(expr, Quant):
-        return free_vars(expr.body) - {expr.var}
+        return {x for x in reads(expr.body, bits)
+                if (x if isinstance(x, str) else x[0]) != expr.var}
     raise EvalError("unknown expression node %r" % (expr,))
+
+
+def free_vars(expr):
+    return reads(expr, bits=False)
 
 
 def _fresh(base, avoid):

@@ -114,11 +114,14 @@ def union_layout(a, b, order_key=None):
 
 
 def permute_vector(vec, dims_src, perm):
-    n = len(dims_src)
-    if n == 0:
+    """Permute the tensor factors of a vector, or of each vector of a stack
+    (the last axis), from dimensions `dims_src` into the order `perm`."""
+    if not dims_src:
         return vec
-    t = vec.reshape(list(dims_src))
-    return t.transpose(list(perm)).reshape(-1)
+    lead = vec.shape[:-1]
+    b = len(lead)
+    t = vec.reshape(lead + tuple(dims_src))
+    return t.transpose(list(range(b)) + [b + p for p in perm]).reshape(lead + (-1,))
 
 
 def _target_axes(targets, layout):
@@ -131,7 +134,8 @@ def _target_axes(targets, layout):
 def apply_left(op, a, targets, layout):
     """op @ a, with `op` acting on the `targets` factors (in that order) of
     the row index of `a`: a vector or a matrix with layout.dim rows, or a
-    stack of such matrices with shape (B, layout.dim, m).
+    stack of such matrices with shape (B, layout.dim, m).  `op` may be a
+    stack of B operators, one per member; a single `a` is then shared.
 
     The target axes are moved to the front for one matmul and moved back,
     so no operator on the whole layout is ever built.  A stack is one
@@ -141,7 +145,7 @@ def apply_left(op, a, targets, layout):
     axes = _target_axes(targets, layout)
     dims = layout.dims()
     tdim = math.prod(dims[i] for i in axes)
-    if op.shape != (tdim, tdim):
+    if op.shape[-2:] != (tdim, tdim):
         raise LayoutError(
             "operator shape %s does not match target dimension %d"
             % (op.shape, tdim)
@@ -152,9 +156,12 @@ def apply_left(op, a, targets, layout):
         [b + i for i in range(n) if i not in axes]
     cols = list(range(b + n, a.ndim - 1 + n))
     t = a.reshape(lead + dims + a.shape[b + 1:]).transpose(perm + cols)
-    out = (op @ t.reshape(lead + (tdim, -1))).reshape(t.shape)
+    out = op @ t.reshape(lead + (tdim, -1))
+    k = out.ndim - 2 - b  # 1 where a stack of operators meets a single `a`
+    out = out.reshape(out.shape[:k] + t.shape)
     back = [perm.index(i) for i in range(b + n)]
-    return out.transpose(back + cols).reshape(a.shape)
+    return out.transpose(list(range(k)) + [k + i for i in back + cols]).reshape(
+        out.shape[:k] + a.shape)
 
 
 def conjugate(op, a, targets, layout):
@@ -165,7 +172,8 @@ def conjugate(op, a, targets, layout):
 
 
 def embed(op, targets, layout):
-    """Embed `op`, given on `targets` (in that order), into the full layout.
+    """Embed `op`, given on `targets` (in that order), into the full layout;
+    for a stack of operators, each of them.
 
     Acts as the identity on every system of the layout not in targets.
     """
@@ -190,26 +198,35 @@ def is_hermitian(a, eps=1e-10):
 
 
 def is_psd(a, eps=1e-9):
-    """Positive semidefiniteness up to -eps on the smallest eigenvalue."""
-    if not is_hermitian(a, max(eps, 1e-8)):
-        return False
-    h = (a + a.conj().T) / 2
-    w = np.linalg.eigvalsh(h)
-    return bool(w.min() >= -eps) if w.size else True
+    """Positive semidefiniteness up to -eps on the smallest eigenvalue; for
+    a stack of matrices (S, D, D), the array of the S verdicts.  Only the
+    members that are Hermitian get an eigendecomposition."""
+    adj = a.conj().swapaxes(-1, -2)
+    ok = np.abs(a - adj).max(axis=(-2, -1), initial=0.0) <= max(eps, 1e-8)
+    if ok.all():
+        ok = np.linalg.eigvalsh((a + adj) / 2).min(axis=-1, initial=np.inf) >= -eps
+    elif ok.any():
+        w = np.linalg.eigvalsh((a + adj)[ok] / 2)
+        ok[ok] = w.min(axis=-1, initial=np.inf) >= -eps
+    return bool(ok) if a.ndim == 2 else ok
 
 
 def min_eig_difference(va, vb):
     """Smallest eigenvalue of vb vb^dagger - va va^dagger, for factors with
-    the same D rows, without forming either D x D product.
+    the same D rows, without forming either D x D product; for stacks of
+    factors (S, D, r), the array of the S values.
 
     With [va vb] = Q R (Q orthonormal), the difference is Q C Q^dagger for
     C = Rb Rb^dagger - Ra Ra^dagger, where Ra and Rb are the columns of R
     belonging to va and vb: it is zero off the span of Q, so its spectrum
     is C's, plus zeros when Q has fewer than D columns."""
-    r = np.linalg.qr(np.hstack([va, vb]), mode="r")
-    ra, rb = r[:, :va.shape[1]], r[:, va.shape[1]:]
-    lo = float(np.linalg.eigvalsh(rb @ rb.conj().T - ra @ ra.conj().T).min())
-    return lo if r.shape[0] == va.shape[0] else min(lo, 0.0)
+    r = np.linalg.qr(np.concatenate([va, vb], axis=-1), mode="r")
+    ra, rb = r[..., :va.shape[-1]], r[..., va.shape[-1]:]
+    c = rb @ rb.conj().swapaxes(-1, -2) - ra @ ra.conj().swapaxes(-1, -2)
+    lo = np.linalg.eigvalsh(c).min(axis=-1)
+    if r.shape[-2] < va.shape[-2]:
+        lo = np.minimum(lo, 0.0)
+    return float(lo) if va.ndim == 2 else lo
 
 
 def is_unitary(u, eps=1e-9):

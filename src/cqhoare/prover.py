@@ -763,6 +763,11 @@ def node_from_json(d, measurements=None):
 
 
 def _node_from_json(d, measurements, parsed):
+    if not isinstance(d, dict):
+        raise qs.ParseError("proof node is not an object: %r" % (d,))
+    if not isinstance(d.get("conclusion"), dict):
+        raise qs.ParseError("conclusion is not an object: %r"
+                            % (d.get("conclusion"),))
     return ProofNode(
         d["rule"],
         triple_from_json(d["conclusion"], measurements, parsed),

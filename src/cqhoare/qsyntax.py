@@ -226,6 +226,12 @@ class _Parser:
                              t.line, t.col)
         return self.take()
 
+    def int_literal(self):
+        t = self.expect("NUM")
+        if not t.text.isdigit():
+            raise ParseError("expected an integer, found %r" % t.text, t.line, t.col)
+        return int(t.text)
+
     def fail(self, msg):
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
@@ -363,12 +369,12 @@ class _Parser:
             kind = self.take().text
             var = self.expect("IDENT").text
             self.expect("KW", "in")
-            lo = self.expect("NUM")
+            lo = self.int_literal()
             self.expect("SYM", "..")
-            hi = self.expect("NUM")
+            hi = self.int_literal()
             self.expect("SYM", ".")
             body = self.expr()
-            return Quant(kind, var, cl.IntType(int(lo.text), int(hi.text)), body)
+            return Quant(kind, var, cl.IntType(lo, hi), body)
         if level <= _NOT and self.at("KW", "not"):
             self.take()
             left, bound = UnOp("not", self.expr(_NOT)), _NOT - 1

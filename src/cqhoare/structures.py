@@ -482,12 +482,15 @@ def default_interpretation():
 # JSON loading
 
 
-def _mat_from_json(rows):
+def _mat_from_json(rows, what):
+    """A complex matrix from its rows; `what` names the field in errors."""
     def c(e):
         if isinstance(e, (list, tuple)):
             return complex(e[0], e[1])
         return complex(e)
 
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InterpError("%s is not a list of rows: %r" % (what, rows))
     return np.array([[c(e) for e in row] for row in rows], dtype=complex)
 
 
@@ -503,7 +506,7 @@ def load_interpretation(doc):
                 raise InterpError("unknown gate builder %r" % spec["builder"])
             gates[name] = GateFamily(name, base.param_types, base.dims, base.make)
         else:
-            m = _mat_from_json(spec["matrix"])
+            m = _mat_from_json(spec["matrix"], "gates.%s.matrix" % name)
             k = int(math.log2(m.shape[0])) if m.shape[0] > 1 else 1
             dims = tuple(spec.get("dims", (2,) * k))
             g = GateFamily(name, (), dims, lambda m=m: m)
@@ -520,12 +523,17 @@ def load_interpretation(doc):
                     out = int(key)
                 except ValueError:
                     out = key
-                ops[out] = _mat_from_json(rows)
+                ops[out] = _mat_from_json(
+                    rows, "measurements.%s.operators.%s" % (name, key))
             otype = cl.type_from_json(spec["outcome"])
             dims = tuple(spec.get("dims", (2,)))
             measurements[name] = MeasurementFamily(name, otype, dims, ops, tol)
     for name, spec in doc.get("kraus_symbols", {}).items():
-        ops = [_mat_from_json(rows) for rows in spec["operators"]]
+        if not isinstance(spec["operators"], list) or not spec["operators"]:
+            raise InterpError("kraus_symbols.%s.operators is not a non-empty "
+                              "list: %r" % (name, spec["operators"]))
+        ops = [_mat_from_json(rows, "kraus_symbols.%s.operators" % name)
+               for rows in spec["operators"]]
         dims = tuple(spec.get("dims", (ops[0].shape[0],)))
         sym = KrausSymbol(name, len(ops), (), dims, lambda ops=ops: list(ops))
         sym.operators((), tol)  # eager sub-normalization check
@@ -542,7 +550,7 @@ def load_interpretation(doc):
             index_types=[cl.type_from_json(t) for t in idx] if idx else None,
         )
     for name, spec in doc.get("atomic_predicates", {}).items():
-        m = _mat_from_json(spec["matrix"])
+        m = _mat_from_json(spec["matrix"], "atomic_predicates.%s.matrix" % name)
         dims = tuple(spec.get("dims", (m.shape[0],)))
         ap = AtomicPredicate(name, (), dims, lambda m=m: m)
         ap.matrix((), tol)  # eager effect check

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as hst
 import numpy as np
 import pytest
 
@@ -268,26 +269,27 @@ def _product_ket(lit):
 
 
 def _counting_eval(monkeypatch):
+    """Records (predicate, batch size) of every predicate evaluation."""
     calls = []
-    real = asrt.eval_predicate
+    real = asrt._eval_pred
 
-    def counted(sigma, a, interp, memo=None):
-        calls.append(a)
-        return real(sigma, a, interp, memo)
+    def counted(sigmas, a, interp, memo=None):
+        calls.append((id(a), len(sigmas)))
+        return real(sigmas, a, interp, memo)
 
-    monkeypatch.setattr(asrt, "eval_predicate", counted)
+    monkeypatch.setattr(asrt, "_eval_pred", counted)
     return calls
 
 
 def test_reflexive_entailment_evaluates_one_side(monkeypatch):
     interp = interp2()
-    a = _product_ket(cl.Lit(1))
+    a, b = _product_ket(cl.Lit(1)), _product_ket(cl.Lit(1))  # one tree, twice
     calls = _counting_eval(monkeypatch)
-    plain = asrt.entails(cl.TRUE, a, a, interp)
-    assert len(calls) == 8
+    plain = asrt.entails(cl.TRUE, a, b, interp)
+    assert calls == [(id(a), 4), (id(b), 4)]  # each side once, at all 4 states
     del calls[:]
-    memoized = asrt.entails(cl.TRUE, a, a, interp, {})
-    assert len(calls) == 4
+    memoized = asrt.entails(cl.TRUE, a, b, interp, {})
+    assert calls == [(id(a), 4)]  # A only, never B
     assert (plain.status, plain.reason) == (memoized.status, memoized.reason)
     assert memoized.reason == "4 states checked"
 
@@ -300,12 +302,13 @@ def test_memo_tells_literal_types_apart(monkeypatch):
     memo = {}
     v = asrt.entails(cl.TRUE, one, true, interp, memo)
     assert v.holds and v.reason == "4 states checked"
-    assert len(calls) == 8  # not reflexive: both sides at every sigma
+    assert calls == [(id(one), 4), (id(true), 4)]  # not reflexive: both sides
     t1 = asrt._intern(memo, one.state)[1]
     t2 = asrt._intern(memo, true.state)[1]
     assert t1 != t2
-    tokens = {k[0] for k in memo if isinstance(k, tuple) and isinstance(k[0], int)}
-    assert {t1, t2} <= tokens
+    entries = [k for k in memo if isinstance(k, tuple) and isinstance(k[0], int)]
+    assert {k[0] for k in entries} >= {t1, t2}
+    assert len({k[1] for k in entries if k[0] in (t1, t2)}) == 1  # one batch
 
 
 def test_memo_shares_entries_between_equal_trees():
@@ -316,7 +319,7 @@ def test_memo_shares_entries_between_equal_trees():
     assert s1 is not s2
     v1, l1 = asrt.eval_state(SIGMA, s1, interp, memo=memo)
     v2, l2 = asrt.eval_state(SIGMA, s2, interp, memo=memo)
-    assert v1 is v2 and l1 == l2
+    assert v1.base is v2.base and l1 == l2  # rows of one stored stack
     assert not v1.flags.writeable
     ref, _ = asrt.eval_state(SIGMA, s1, interp)
     assert np.array_equal(ref, v1)
@@ -468,3 +471,239 @@ def test_psd_tolerance_decides_on_the_factored_path(monkeypatch):
     assert asrt.entails(cl.TRUE, tilted, _proj("|0>_q1"), interp).status == "fails"
     interp.tolerances = la.Tolerances(psd=1e-5)
     assert asrt.entails(cl.TRUE, tilted, _proj("|0>_q1"), interp).holds
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation
+
+
+def _batch_interp():
+    interp = subst_interp()
+    interp.declare_classical("j", cl.BitArrayType(1, 3))
+    return interp
+
+
+_BATCH_SIGMAS = list(cl.iter_states(
+    {"x": cl.IntType(0, 3), "y": cl.IntType(0, 3), "j": cl.BitArrayType(1, 3)},
+    {"x", "y", "j"}))
+_HALF = cl.BinOp("/", cl.Lit(1), cl.Call("sqrt", (cl.Lit(2),)))
+
+
+def _random_qvar(rng):
+    """A system; a[x + 1] is out of range at x = 3."""
+    r = int(rng.integers(6))
+    if r < 3:
+        return QVar(("q1", "q2", "a")[r], (cl.Lit(1),) if r == 2 else ())
+    return QVar("a", ((cl.Var("x"), cl.Var("y"),
+                       cl.BinOp("+", cl.Var("x"), cl.Lit(1)))[r - 3],))
+
+
+def _random_label(rng):
+    r = int(rng.integers(6))
+    return (cl.Lit(int(rng.integers(2))), cl.BitIndex("j", cl.Lit(2)),
+            cl.BitIndex("j", cl.BinOp("+", cl.BinOp("%", cl.Var("x"), cl.Lit(3)),
+                                      cl.Lit(1))),
+            cl.BinOp("%", random_expr(rng), cl.Lit(2)),
+            cl.Var("y"),  # out of range at y >= 2
+            cl.BinOp("/", cl.Lit(2), cl.BinOp("-", cl.Var("x"), cl.Lit(2))))[r]
+
+
+def _random_coeff(rng):
+    r = int(rng.integers(4))
+    frac = cl.BinFrac("j", cl.Lit(1), cl.Lit(int(rng.integers(1, 4))))
+    return (_HALF, cl.BinOp("*", _HALF, cl.Call("exp2pi", (frac,))),
+            cl.BinOp("*", cl.BinOp("%", cl.Var("x"), cl.Lit(2)), _HALF),
+            cl.Lit(0.5))[r]
+
+
+def _random_state(rng, depth=2):
+    r = int(rng.integers(4 if depth > 0 else 1))
+    if r == 0:
+        return asrt.Ket(_random_label(rng), _random_qvar(rng))
+    if r == 1:
+        return asrt.STensor(_random_state(rng, depth - 1),
+                            _random_state(rng, depth - 1))
+    if r == 2:
+        q = _random_qvar(rng)
+        return asrt.Superpose(_random_coeff(rng), asrt.Ket(cl.Lit(0), q),
+                              _random_coeff(rng), asrt.Ket(cl.Lit(1), q))
+    angle = (cl.Lit(0.3), cl.BinOp("*", cl.Var("y"), cl.Lit(0.5)))[int(rng.integers(2))]
+    gate = (("H", ()), ("Rx", (angle,)))[int(rng.integers(2))]
+    return asrt.GateApp(*gate, (_random_qvar(rng),), _random_state(rng, depth - 1))
+
+
+def _random_batch_pred(rng, depth=2):
+    r = int(rng.integers(4 if depth > 0 else 2))
+    if r == 0:
+        return StateProj(_random_state(rng))
+    if r == 1:
+        return random_predicate(rng, 0)
+    if r == 2:
+        return random_predicate(rng, depth)
+    return Kraus("F_H", (), (_random_qvar(rng),), (_random_batch_pred(rng, depth - 1),))
+
+
+def _outcome(evaluate):
+    try:
+        return "ok", evaluate()
+    except asrt.NotWellDefined as e:
+        return "nwd", e.reason
+    except Exception as e:
+        return "error", (type(e), str(e))
+
+
+def _bits(x):
+    return None if x is None else np.ascontiguousarray(x).tobytes()
+
+
+def _random_batch(rng):
+    """2 to 8 distinct states; half of the batches share x and y."""
+    pool = _BATCH_SIGMAS
+    if rng.integers(2):
+        x, y = int(rng.integers(4)), int(rng.integers(4))
+        pool = [s for s in pool if (s["x"], s["y"]) == (x, y)]
+    picks = rng.choice(len(pool), int(rng.integers(2, 9)), replace=False)
+    return tuple(pool[i] for i in picks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1))
+def test_batch_evaluation_matches_each_member_alone(seed):
+    """A batch either evaluates to one stack whose rows are bit for bit the
+    results of the members alone, or to the NotWellDefined reason every
+    member gives alone, or is _Mixed."""
+    rng = np.random.default_rng(seed)
+    interp = _batch_interp()
+    a = _random_batch_pred(rng)
+    batch = _random_batch(rng)
+    alone = [_outcome(lambda s=s: asrt._eval_pred((s,), a, interp)) for s in batch]
+    for memo in (None, {}):
+        kind, r = _outcome(lambda: asrt._eval_pred(batch, a, interp, memo))
+        if kind == "error":
+            assert r[0] is asrt._Mixed
+        elif kind == "nwd":
+            assert all(o == ("nwd", r) for o in alone)
+        else:
+            for i, (k, m) in enumerate(alone):
+                assert k == "ok" and m.layout.systems == r.layout.systems
+                assert _bits(m.factor) == _bits(None if r.factor is None else r.factor[i])
+                assert _bits(m.op) == _bits(r.op[i])
+
+
+def test_batches_stack_where_members_agree():
+    interp = _batch_interp()
+    state = StateProj(asrt.Superpose(
+        _HALF, asrt.Ket(cl.Lit(0), Q1),
+        cl.BinOp("*", _HALF, cl.Call("exp2pi", (cl.BinFrac("j", cl.Lit(1), cl.Lit(3)),))),
+        asrt.Ket(cl.Lit(1), Q1)))
+    batch = tuple(_BATCH_SIGMAS)
+    assert asrt._eval_pred(batch, state, interp).factor.shape == (128, 2, 1)
+    moving = Atomic("P0", (), (QVar("a", (cl.Var("x"),)),))
+    with pytest.raises(asrt._Mixed):
+        asrt._eval_pred(batch, moving, interp)
+    fixed = Atomic("P0", (), (Q1,))
+    with pytest.raises(asrt.NotWellDefined, match="overlapping"):
+        asrt._eval_pred(batch, PTensor(fixed, fixed), interp)
+
+
+def test_leaf_expressions_run_once_per_bit_pattern_they_read(monkeypatch):
+    interp = _batch_interp()
+    frac = cl.BinFrac("j", cl.Lit(2), cl.Lit(3))
+    phase = cl.Call("exp2pi", (frac,))
+    seen = []
+    real = cl.eval_expr
+
+    def counted(sigma, expr):
+        if expr is phase:
+            seen.append(sigma)
+        return real(sigma, expr)
+
+    monkeypatch.setattr(cl, "eval_expr", counted)
+    state = asrt.Superpose(_HALF, asrt.Ket(cl.Lit(0), Q1),
+                           cl.BinOp("*", _HALF, phase), asrt.Ket(cl.Lit(1), Q1))
+    asrt._eval_pred(tuple(_BATCH_SIGMAS), StateProj(state), interp)
+    assert len(seen) == 4  # j[2] and j[3], not all 128 states
+
+
+def _reference_entails(phi, a, b, interp):
+    """phi |= A <= B decided one classical state after another, with a dense
+    eigendecomposition at each."""
+    states = asrt.enumerate_states(qs.classical_vars((phi, a, b)), interp)
+    checked = 0
+    for sigma in states:
+        if not cl.satisfies(sigma, phi):
+            continue
+        checked += 1
+        ra = asrt.eval_predicate(sigma, a, interp)
+        rb = asrt.eval_predicate(sigma, b, interp)
+        if ra.well_defined != rb.well_defined:
+            return "fails", sigma, "well-definedness disagrees"
+        if ra.well_defined:
+            layout = la.union_layout(ra.layout, rb.layout, interp.order_key)
+            diff = (la.embed(rb.op, list(rb.layout.ids), layout)
+                    - la.embed(ra.op, list(ra.layout.ids), layout))
+            if np.linalg.eigvalsh(diff).min() < -interp.tolerances.psd:
+                return "fails", sigma, "Loewner order fails"
+    return "holds", None, "%d states checked" % checked
+
+
+def _at_x(label):
+    return StateProj(asrt.Ket(label, Q1))
+
+
+_X = cl.Var("x")
+_DIV = cl.BinOp("/", cl.Lit(2), cl.BinOp("-", _X, cl.Lit(2)))  # 2 / (x - 2)
+_ENTAILMENTS = {
+    # sigma-dependent targets: fails where x != y, first at x = 0, y = 1
+    "targets": (cl.TRUE, Atomic("P0", (), (QVar("a", (_X,)),)),
+                Atomic("P0", (), (QVar("a", (cl.Var("y"),)),))),
+    "targets-agree": (cl.BinOp("=", _X, cl.Var("y")),
+                      Atomic("P0", (), (QVar("a", (_X,)),)),
+                      Atomic("P0", (), (QVar("a", (cl.Var("y"),)),))),
+    # one batch, failing at x = 1 and x = 3: the witness is the first
+    "loewner-batch": (cl.TRUE, _at_x(cl.BinOp("%", _X, cl.Lit(2))), _at_x(cl.Lit(0))),
+    # one batch, A not well-defined anywhere: fails at the first state
+    "well-definedness-batch": (cl.TRUE, _at_x(cl.Lit(2)),
+                               _at_x(cl.BinOp("%", _X, cl.Lit(2)))),
+    # sigma-dependent well-definedness: |x> is out of range from x = 2
+    "well-definedness": (cl.TRUE, _at_x(_X), _at_x(cl.BinOp("%", _X, cl.Lit(2)))),
+    # fails at x = 1, before the division by zero at x = 2
+    "error-after-failure": (cl.TRUE, _at_x(cl.BinOp("%", _DIV, cl.Lit(2))),
+                            _at_x(cl.Lit(1))),
+    # the division by zero at x = 2 comes before any failure
+    "error-first": (cl.TRUE, _at_x(cl.BinOp("%", _DIV, cl.Lit(2))),
+                    _at_x(cl.BinOp("%", _DIV, cl.Lit(2)))),
+    # phi itself fails to evaluate at x = 2, after a failure at x = 1
+    "phi-error": (cl.BinOp(">=", _DIV, cl.Lit(-5)), _at_x(cl.Lit(0)),
+                  _at_x(cl.BinOp("%", _X, cl.Lit(2)))),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTAILMENTS))
+@pytest.mark.parametrize("memo", [None, {}])
+def test_batched_entailment_matches_a_per_state_loop(name, memo):
+    phi, a, b = _ENTAILMENTS[name]
+    interp = _batch_interp()
+    want = _outcome(lambda: _reference_entails(phi, a, b, interp))
+    got = _outcome(lambda: asrt.entails(phi, a, b, interp, memo))
+    if want[0] == "ok":
+        v = got[1]
+        got = ("ok", (v.status, v.witness, v.reason))
+    assert got == want
+    assert name != "error-first" or want[0] == "error"
+    assert name in ("targets-agree", "error-first") or want[1][0] == "fails"
+
+
+def test_dense_batches_past_the_byte_budget_go_member_by_member(monkeypatch):
+    interp = interp2()
+    a = PTensor(Atomic("P0", (), (Q1,)), Atomic("ID1", (), (Q2,)))
+    batch = tuple(cl.iter_states(interp.classical_vars, {"x"}))
+    assert asrt._eval_pred(batch, a, interp).dense.shape == (4, 4, 4)
+    phi = cl.BinOp(">=", cl.Var("x"), cl.Lit(0))  # four states, one batch
+    table = [(b, c, holds) for b, c, holds, _ in _entailment_table()]
+    monkeypatch.setattr(asrt, "STACK_BYTES", 16 * 4 * 4 * 3)  # three members
+    with pytest.raises(asrt._Mixed):
+        asrt._eval_pred(batch, a, interp)
+    assert asrt._eval_pred(batch[:3], a, interp).dense.shape == (3, 4, 4)
+    for b, c, holds in table:
+        assert asrt.entails(phi, b, c, interp, {}).holds == holds, (b, c)

@@ -134,6 +134,21 @@ def test_fresh_names_depend_only_on_the_formula():
     assert not cl.satisfies(cl.ClassicalState({"i": 0}), first)
 
 
+def test_reads_names_bits_at_literal_positions():
+    x = cl.Var("x")
+    frac = cl.BinFrac("j", cl.Lit(2), cl.Lit(4))
+    assert cl.reads(cl.Call("exp2pi", (frac,))) == {("j", 2), ("j", 3), ("j", 4)}
+    assert cl.reads(cl.BitIndex("j", cl.Lit(1))) == {("j", 1)}
+    assert cl.reads(cl.BitIndex("j", x)) == {"j", "x"}
+    assert cl.reads(cl.BitIndex("j", cl.Lit(True))) == {"j"}
+    assert cl.reads(cl.BinFrac("j", cl.Lit(3), cl.Lit(2))) == {"j"}  # empty
+    body = cl.BinOp("=", cl.BitIndex("k", cl.Lit(1)), cl.BitIndex("j", cl.Lit(2)))
+    q = cl.Quant("forall", "k", cl.BitArrayType(1, 2), body)
+    assert cl.reads(q) == {("j", 2)}
+    assert cl.free_vars(q) == {"j"}
+    assert cl.free_vars(cl.BinOp("+", x, cl.Call("exp2pi", (frac,)))) == {"x", "j"}
+
+
 def test_formula_equal_normalizes_associativity_and_binders():
     a = parse_formula("(p = 1 and q = 1) and r = 1")
     b = parse_formula("p = 1 and (q = 1 and r = 1)")

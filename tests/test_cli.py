@@ -338,3 +338,27 @@ def test_non_text_field_exits_3(capsys, tmp_path, files, cmd, path, value, kind)
     assert cli.main(["--interp", interp, cmd, target, *extra]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "expected text, got %s" % kind in err
+
+
+@pytest.mark.parametrize("interp, script, field", [
+    ({"kraus_symbols": {"K": {"operators": []}}}, None, "kraus_symbols.K.operators"),
+    ({"kraus_symbols": {"K": {"operators": 5}}}, None, "kraus_symbols.K.operators"),
+    ({"gates": {"G": {"matrix": 5}}}, None, "gates.G.matrix"),
+    ({"atomic_predicates": {"P": {"matrix": [1, 0]}}}, None,
+     "atomic_predicates.P.matrix"),
+    (None, {"rule": "Skip", "conclusion": 3}, "conclusion"),
+    (None, dict(pv.node_to_json(qft.generate_qft(1)[1]), premises=[1]),
+     "proof node"),
+])
+def test_malformed_json_exits_3_naming_the_field(capsys, tmp_path, interp,
+                                                 script, field):
+    argv = []
+    if interp is not None:
+        path = tmp_path / "interp.json"
+        path.write_text(json.dumps(interp))
+        argv += ["--interp", str(path)]
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script or {}))
+    assert cli.main(argv + ["check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err

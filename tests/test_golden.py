@@ -1,7 +1,7 @@
 """Byte-identity of check and fuzz reports against a committed fixture.
 
 `golden.json` holds `check_script(...).to_json()` for the QFT scripts and
-their perturbed forms at n = 1..4 and for every corpus script and mutant,
+their perturbed forms at n = 1..6 and for every corpus script and mutant,
 and `fuzz_triple(...).to_json()` for every corpus conclusion and for the
 QFT conclusions, accepted and perturbed, at n = 1..3, at a fixed seed.
 A change that alters any verdict, reason, record or float shows up here
@@ -35,7 +35,7 @@ from cqhoare.assertions import Atomic, CqAssertion, Kraus
 FIXTURE = Path(__file__).with_name("golden.json")
 RULES_FIXTURE = Path(__file__).with_name("golden_rules.json")
 FUZZ_CONFIG = dict(samples=6, seed=11)
-QFT_NS = (1, 2, 3, 4)
+QFT_NS = (1, 2, 3, 4, 5, 6)
 QFT_FUZZ_NS = (1, 2, 3)
 
 

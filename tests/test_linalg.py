@@ -157,6 +157,15 @@ def test_stacked_kernel_equals_member_by_member():
         out = la.conjugate(g, stack, targets, lay)
         for i in range(len(stack)):
             assert np.array_equal(out[i], la.conjugate(g, stack[i], targets, lay))
+        ops = np.stack([g, g.T, g.conj()])  # a stack of operators, one matrix
+        for a in (stack[0], wide[0]):
+            out = la.apply_left(ops, a, targets, lay)
+            assert out.shape == (3,) + a.shape
+            for i in range(3):
+                assert np.array_equal(out[i], la.apply_left(ops[i], a, targets, lay))
+        out = la.embed(ops, targets, lay)
+        for i in range(3):
+            assert np.array_equal(out[i], la.embed(ops[i], targets, lay))
     rho = la.DensityOperator(lay, stack)
     assert np.array_equal(rho.trace(), [la.DensityOperator(lay, m).trace()
                                         for m in stack])
@@ -165,6 +174,24 @@ def test_stacked_kernel_equals_member_by_member():
                           [la.trace_product(a, m) for m in stack])
     with pytest.raises(la.LayoutError):
         la.DensityOperator(lay, stack[:, :, :6])
+
+
+def test_stacked_decisions_equal_member_by_member():
+    rng = np.random.default_rng(9)
+    va = rng.standard_normal((6, 5, 2)) + 1j * rng.standard_normal((6, 5, 2))
+    vb = rng.standard_normal((6, 5, 1)) + 1j * rng.standard_normal((6, 5, 1))
+    lows = la.min_eig_difference(va, vb)
+    assert lows.shape == (6,)
+    assert list(lows) == [la.min_eig_difference(a, b) for a, b in zip(va, vb)]
+    wide = rng.standard_normal((3, 2, 3))  # more columns than rows
+    assert list(la.min_eig_difference(wide, wide)) == [
+        la.min_eig_difference(w, w) for w in wide]
+    mats = np.array([np.eye(3), np.diag([1.0, 0, -0.1]), np.diag([1.0, 0, -1e-12]),
+                     np.triu(np.ones((3, 3))), np.full((3, 3), np.nan)])
+    got = la.is_psd(mats, 1e-9)
+    assert got.dtype == bool
+    assert list(got) == [la.is_psd(m, 1e-9) for m in mats] == [
+        True, False, True, False, False]
 
 
 def _factor(rng, d, r):

@@ -158,6 +158,13 @@ def test_pinned_expressions(src, tree):
         assert repr(qs.parse_expr(src)) == repr(tree)
 
 
+@pytest.mark.parametrize("bounds, col", [("1.5..2", 13), ("1..1e5", 16)])
+def test_quantifier_bound_is_an_integer_literal(bounds, col):
+    with pytest.raises(qs.ParseError, match=r"expected an integer, found .*"
+                       r"\(line 1, column %d\)" % col):
+        qs.parse_expr("forall i in %s . true" % bounds)
+
+
 def test_ket_value_is_a_sum():
     s = asrt.parse_state("|x + 1>_q")
     assert repr(s) == repr(asrt.Ket(cl.BinOp("+", x, cl.Lit(1)), qs.QVar("q")))
