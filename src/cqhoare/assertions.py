@@ -7,7 +7,7 @@ distinctness, or a formal state of norm other than 1; never silently
 renormalized).
 """
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,13 +285,13 @@ def _tree_key(memo, x, names):
         return token
     if isinstance(x, tuple):
         return tuple(_tree_key(memo, y, names) for y in x)
-    if is_dataclass(x):
-        if names is not None and isinstance(x, cl.EXPRS):
-            names |= cl.free_vars(x)
-            names = None  # the variables below are counted, bound ones left out
-        return (type(x),) + tuple(_tree_key(memo, getattr(x, f.name), names)
-                                  for f in fields(x))
-    return (type(x), repr(x))
+    fs = qs.field_names(type(x))
+    if fs is None:
+        return (type(x), repr(x))
+    if names is not None and isinstance(x, cl.EXPRS):
+        names |= cl.free_vars(x)
+        names = None  # the variables below are counted, bound ones left out
+    return (type(x),) + tuple(_tree_key(memo, getattr(x, f), names) for f in fs)
 
 
 def _intern(memo, node):
@@ -301,8 +301,8 @@ def _intern(memo, node):
     entry = memo.get(id(node))
     if entry is None:
         names = set()
-        key = (type(node),) + tuple(_tree_key(memo, getattr(node, f.name), names)
-                                    for f in fields(node))
+        key = (type(node),) + tuple(_tree_key(memo, getattr(node, f), names)
+                                    for f in qs.field_names(type(node)))
         # tokens are memo sizes, which never repeat as the memo only grows
         token = memo.setdefault(("tree", key), len(memo))
         entry = memo[id(node)] = (node, token, tuple(sorted(names)))
@@ -741,6 +741,8 @@ def cq_entails(pre, post, interp, memo=None):
 
 class _StateParser(_Parser):
     def fstate(self):
+        base = self.depth
+        self.nest()
         terms = [self.fproduct()]
         while self.at_sym("+") or self.at_sym("-"):
             op = self.take().text
@@ -748,6 +750,8 @@ class _StateParser(_Parser):
             if op == "-":
                 c = cl.UnOp("-", c)
             terms.append((c, s))
+            self.nest()  # the sum so far is one level deeper
+        self.depth = base
         if len(terms) == 1:
             return scaled(*terms[0])
         return superpose_sum(terms)
@@ -757,16 +761,18 @@ class _StateParser(_Parser):
         # containing '*') followed by an explicit '*'; parsing at the
         # multiplicative level would swallow the separating star.
         coeff = cl.Lit(1)
-        save = self.pos
+        save, base = self.pos, self.depth
         try:
             e = self.unary()
             self.expect("SYM", "*")
             coeff = e
         except ParseError:
-            self.pos = save
+            self.pos, self.depth = save, base
         factors = [self.fapp()]
         while self.at_sym("|") or self.at_sym("(") or self._at_gate():
             factors.append(self.fapp())
+            self.nest()  # the product so far is one level deeper
+        self.depth = base
         return coeff, tensor_all(factors)
 
     def _at_gate(self):
@@ -783,7 +789,10 @@ class _StateParser(_Parser):
             self.expect("SYM", "[")
             targets = tuple(self.qvar_list())
             self.expect("SYM", "]")
-            return GateApp(name, params, targets, self.fapp())
+            self.nest()
+            state = self.fapp()
+            self.depth -= 1
+            return GateApp(name, params, targets, state)
         return self.fatom()
 
     def fatom(self):

@@ -51,15 +51,16 @@ def _load_interp(args):
 
 def _load_state(path, interp):
     doc = _read_json(path)
-    sigma = cl.ClassicalState.from_json(doc.get("sigma", {}))
+    sigma = cl.ClassicalState.from_json(qs.json_field(doc, ("sigma",), "object", {}))
     layout = interp.make_layout(interp.all_systems())
-    rho = doc.get("rho", {})
+    rho = qs.json_field(doc, ("rho",), "object", {})
     if "pure" in rho:
-        vec = np.array([complex(re, im) for re, im in rho["pure"]])
+        n = len(qs.json_field(doc, ("rho", "pure"), "array"))
+        vec = np.array([st.complex_from_json(doc, ("rho", "pure", i), real=False)
+                        for i in range(n)])
         dop = la.pure_state(vec / np.linalg.norm(vec), layout)
     elif "matrix" in rho:
-        mat = np.array([[complex(re, im) for re, im in row]
-                        for row in rho["matrix"]])
+        mat = st.mat_from_json(doc, ("rho", "matrix"), real=False)
         dop = la.DensityOperator(layout, mat).validate(interp.tolerances)
     else:
         dop = la.pure_state(la.basis_vector(0, layout.dim), layout)
@@ -86,6 +87,8 @@ def _cmd_parse(args):
     interp = _load_interp(args)
     try:
         prog = _parse_program(_read_source(args.program), interp)
+    except qs.DepthError:
+        raise  # a limit, as for other caps: exit 3
     except qs.ParseError as e:
         _emit({"ok": False, "error": str(e)}, "parse error: %s" % e)
         return 1
@@ -138,8 +141,10 @@ def _cmd_entail(args):
     pre = asrt.assertion_from_json(_read_json(args.pre))
     post = asrt.assertion_from_json(_read_json(args.post))
     if args.domain:
-        interp.classical_vars = {n: cl.type_from_json(t)
-                                 for n, t in _read_json(args.domain).items()}
+        domain = _read_json(args.domain)
+        interp.classical_vars = {
+            n: cl.type_from_json(qs.json_field(domain, (n,), ("object", "string")))
+            for n in qs.json_field(domain, (), "object")}
     try:
         v = asrt.cq_entails(pre, post, interp)
     except la.DimensionCapError as e:

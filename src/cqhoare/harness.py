@@ -100,21 +100,33 @@ def _sample_sigma(rng, typing, names):
 
 def _input_rhos(rng, d, samples):
     """Input kinds and their density matrices, stacked: d basis states,
-    then `samples` random pure and `samples` random mixed states."""
-    kinds = ["basis-%d" % i for i in range(d)]
+    then `samples` random pure and `samples` random mixed states.
+
+    The seed fixes the draws in this order: per pure state the real then
+    the imaginary parts of its vector, then per mixed state its rank and
+    the real then the imaginary parts of its d x rank factor.  The states
+    are built as stacks, bit for bit what one state at a time gives."""
+    kinds = (["basis-%d" % i for i in range(d)]
+             + ["pure-%d" % i for i in range(samples)]
+             + ["mixed-%d" % i for i in range(samples)])
     stack = np.zeros((d + 2 * samples, d, d), dtype=complex)
     stack[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    for i in range(samples):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v = v / np.linalg.norm(v)
-        kinds.append("pure-%d" % i)
-        stack[d + i] = np.outer(v, v.conj())
+    parts = rng.standard_normal((samples, 2, d))
+    v = parts[:, 0] + 1j * parts[:, 1]
+    # np.linalg.norm of one vector sums with `dot`; over a stack it may round otherwise
+    v /= np.array([np.linalg.norm(u) for u in v])[:, None]
+    stack[d:d + samples] = v[:, :, None] * v.conj()[:, None, :]
+    by_rank = {}  # rank -> (indices into the mixed states, factors)
     for i in range(samples):
         rank = int(rng.integers(1, d + 1))
         g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-        m = g @ g.conj().T
-        kinds.append("mixed-%d" % i)
-        stack[d + samples + i] = m / np.trace(m).real
+        idx, gs = by_rank.setdefault(rank, ([], []))
+        idx.append(d + samples + i)
+        gs.append(g)
+    for idx, gs in by_rank.values():
+        g = np.stack(gs)
+        m = g @ g.conj().transpose(0, 2, 1)
+        stack[idx] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
     return kinds, stack
 
 

@@ -46,6 +46,11 @@ class ParseError(ValueError):
         super().__init__(msg)
 
 
+class DepthError(ParseError):
+    """Text nested deeper than `MAX_DEPTH`: a limit of the tool, like the
+    dimension cap, rather than a fault of the text."""
+
+
 # ---------------------------------------------------------------------------
 # AST
 
@@ -146,7 +151,7 @@ _SYMBOLS = [":=", "<=", ">=", "!=", "->", "..",
             "+", "-", "*", "/", "%", ":", "_", "."]
 
 
-@dataclass
+@dataclass(slots=True)
 class Tok:
     kind: str  # NUM IDENT KW SYM EOF
     text: str
@@ -192,25 +197,37 @@ _LEVEL = {"->": 1, "or": 2, "and": 3,
           "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 _NOT, _NEG = 4, 8
 
+# How deeply a text may nest.  Each bracket, quantifier, prefix operator,
+# branch or loop body, and each operator of a chain, is one level.  The
+# parser takes up to four frames a level and the walks of its trees up to
+# three, so the bound keeps both well inside the interpreter's default
+# recursion limit of 1,000 frames.
+MAX_DEPTH = 200
+
 
 class _Parser:
     def __init__(self, src, measurements=None, allow_sections=False):
         self.toks = tokenize(src)
+        # lookahead reaches two tokens past the position, which never
+        # passes the end of input: two more copies of it keep it in range
+        self.toks += self.toks[-1:] * 2
         self.pos = 0
+        self.depth = 0  # levels open at the current token
         self.measurements = measurements
         self.allow_sections = allow_sections
 
     # -- token helpers
 
     def peek(self, k=0):
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]
 
     def at(self, kind, text=None, k=0):
-        t = self.peek(k)
+        t = self.toks[self.pos + k]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_sym(self, text, k=0):
-        return self.at("SYM", text, k)
+        t = self.toks[self.pos + k]
+        return t.kind == "SYM" and t.text == text
 
     def take(self):
         t = self.toks[self.pos]
@@ -236,6 +253,15 @@ class _Parser:
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def nest(self):
+        """Open one more level; a caller that returns closes those it
+        opened by restoring `depth`."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            t = self.peek()
+            raise DepthError("nested more than %d levels deep" % MAX_DEPTH,
+                             t.line, t.col)
+
     def is_measurement(self, name):
         if self.measurements is not None:
             return name in self.measurements
@@ -256,32 +282,38 @@ class _Parser:
             return Skip()
         if self.at("KW", "if"):
             self.take()
+            base = self.depth
+            self.nest()
             cond = self.expr()
             self.expect("KW", "then")
             p1 = self.program()
             self.expect("KW", "else")
             p0 = self.program()
             self.expect("KW", "fi")
+            self.depth = base
             return If(cond, p1, p0)
         if self.at("KW", "while"):
             self.take()
+            base = self.depth
+            self.nest()
             cond = self.expr()
             self.expect("KW", "do")
             body = self.program()
             self.expect("KW", "od")
+            self.depth = base
             return While(cond, body)
         if not self.at("IDENT"):
             self.fail("expected a command")
         # lookahead: IDENT [subs]? ':=' is an assignment/init/measurement,
         # anything else is a gate application
-        save = self.pos
+        save, base = self.pos, self.depth
         name = self.take().text
         subs = None
         if self.at_sym("["):
             try:
                 subs = self.subscripts()
             except ParseError:
-                self.pos = save
+                self.pos, self.depth = save, base
                 return self.gate_command()
         if self.at_sym(":="):
             self.take()
@@ -365,6 +397,8 @@ class _Parser:
         by precedence climbing over `_LEVEL`: "->" groups to the right, the
         other operators to the left, and comparisons do not chain.  A
         quantifier is read only at level 0 and "not" only up to `_NOT`."""
+        base = self.depth
+        self.nest()
         if level == 0 and (self.at("KW", "forall") or self.at("KW", "exists")):
             kind = self.take().text
             var = self.expect("IDENT").text
@@ -374,6 +408,7 @@ class _Parser:
             hi = self.int_literal()
             self.expect("SYM", ".")
             body = self.expr()
+            self.depth = base
             return Quant(kind, var, cl.IntType(lo, hi), body)
         if level <= _NOT and self.at("KW", "not"):
             self.take()
@@ -384,15 +419,20 @@ class _Parser:
             op = self.peek().text
             lvl = _LEVEL.get(op, -1)
             if not level <= lvl <= bound:
+                self.depth = base
                 return left
             self.take()
             left = BinOp(op, left, self.expr(lvl if op == "->" else lvl + 1))
+            self.nest()  # the chain so far is one level deeper
             bound = lvl - 1 if lvl == _LEVEL["="] else lvl
 
     def unary(self):
         if self.at_sym("-"):
             self.take()
-            return UnOp("-", self.unary())
+            self.nest()
+            arg = self.unary()
+            self.depth -= 1
+            return UnOp("-", arg)
         return self.primary()
 
     def primary(self):
@@ -481,6 +521,39 @@ def parse_once(cache, parse, text, *args):
     if tree is None:
         tree = cache[key] = parse(text, *args)
     return tree
+
+
+# The JSON types a document field may be asked to have, by name.  A boolean
+# is none of them, though Python counts it an int.
+_JSON_KINDS = {"object": dict, "array": list, "string": str, "integer": int,
+               "number": (int, float)}
+_REQUIRED = object()
+
+
+def json_field(doc, path, kind, default=_REQUIRED):
+    """The value at `path`, a tuple of object keys and array indices, in
+    the JSON document `doc`, when it is of `kind`: a name in `_JSON_KINDS`
+    or a tuple of such names.  `default`, when given, stands for a missing
+    last key.  Anything else is a ParseError that names the path."""
+    def check(x, kinds, at):
+        if isinstance(x, tuple(_JSON_KINDS[k] for k in kinds)) and not isinstance(x, bool):
+            return x
+        found = ("boolean" if isinstance(x, bool) else "null" if x is None else
+                 next((k for k, t in _JSON_KINDS.items() if isinstance(x, t)),
+                      type(x).__name__))
+        raise ParseError("%s: expected %s, found %s" % (
+            ".".join(map(str, at)) or "top level", " or ".join(kinds), found))
+
+    x = doc
+    for i, key in enumerate(path):
+        x = check(x, ("object",) if isinstance(key, str) else ("array",), path[:i])
+        if key in x if isinstance(x, dict) else key < len(x):
+            x = x[key]
+        elif default is not _REQUIRED and i == len(path) - 1:
+            return default
+        else:
+            raise ParseError("%s is missing" % ".".join(map(str, path[:i + 1])))
+    return check(x, (kind,) if isinstance(kind, str) else kind, path)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +682,17 @@ _SEQS = (tuple, list)
 
 
 @functools.cache
+def field_names(cls):
+    """Field names of a dataclass type in order; None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+@functools.cache
 def _fields(cls):
     """Field names of a node type in order; () for an expression, which is
     a leaf, and None for a type that is not syntax, such as str."""
-    if not is_dataclass(cls):
-        return None
-    return () if issubclass(cls, cl.EXPRS) else tuple(f.name for f in fields(cls))
+    names = field_names(cls)
+    return () if names is not None and issubclass(cls, cl.EXPRS) else names
 
 
 def nodes(x):

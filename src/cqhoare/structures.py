@@ -21,6 +21,7 @@ import numpy as np
 
 from . import classical as cl
 from . import linalg as la
+from . import qsyntax as qs
 from .linalg import Tolerances
 
 
@@ -482,77 +483,100 @@ def default_interpretation():
 # JSON loading
 
 
-def _mat_from_json(rows, what):
-    """A complex matrix from its rows; `what` names the field in errors."""
-    def c(e):
-        if isinstance(e, (list, tuple)):
-            return complex(e[0], e[1])
-        return complex(e)
+def complex_from_json(doc, path, real=True):
+    """The complex number at `path` in the JSON document `doc`: [re, im],
+    or, where `real` allows, a real number."""
+    if real and not isinstance(qs.json_field(doc, path, ("number", "array")), list):
+        return complex(qs.json_field(doc, path, "number"))
+    return complex(*(qs.json_field(doc, path + (k,), "number") for k in (0, 1)))
 
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InterpError("%s is not a list of rows: %r" % (what, rows))
-    return np.array([[c(e) for e in row] for row in rows], dtype=complex)
+
+def mat_from_json(doc, path, real=True):
+    """The complex matrix at `path` in `doc`, an array of rows of entries
+    read by `complex_from_json`."""
+    return np.array([[complex_from_json(doc, path + (i, j), real)
+                      for j in range(len(qs.json_field(doc, path + (i,), "array")))]
+                     for i in range(len(qs.json_field(doc, path, "array")))],
+                    dtype=complex)
 
 
 def load_interpretation(doc):
     """Build an Interpretation from its JSON document, starting from the
-    built-in registries."""
-    tol = Tolerances.from_dict(doc.get("tolerances", {}))
+    built-in registries.  A field of the wrong shape is a ParseError that
+    names it."""
+    def field(*path, kind="object", **default):
+        return qs.json_field(doc, path, kind, **default)
+
+    def dims(*path, default):
+        items = field(*path, kind="array", default=None)
+        if items is None:
+            return default
+        return tuple(field(*path, i, kind="integer") for i in range(len(items)))
+
+    tol = Tolerances.from_dict({k: field("tolerances", k, kind="number")
+                                for k in field("tolerances", default={})})
     gates, measurements, kraus = builtin_gates(), {}, {}
-    for name, spec in doc.get("gates", {}).items():
+    for name in field("gates", default={}):
+        spec = field("gates", name)
         if "builder" in spec:
-            base = builtin_gates().get(spec["builder"])
+            base = builtin_gates().get(field("gates", name, "builder", kind="string"))
             if base is None:
                 raise InterpError("unknown gate builder %r" % spec["builder"])
             gates[name] = GateFamily(name, base.param_types, base.dims, base.make)
         else:
-            m = _mat_from_json(spec["matrix"], "gates.%s.matrix" % name)
+            m = mat_from_json(doc, ("gates", name, "matrix"))
             k = int(math.log2(m.shape[0])) if m.shape[0] > 1 else 1
-            dims = tuple(spec.get("dims", (2,) * k))
-            g = GateFamily(name, (), dims, lambda m=m: m)
+            g = GateFamily(name, (), dims("gates", name, "dims", default=(2,) * k),
+                           lambda m=m: m)
             g.matrix((), tol)  # eager unitarity check
             gates[name] = g
-    for name, spec in doc.get("measurements", {}).items():
+    for name in field("measurements", default={}):
+        spec = field("measurements", name)
         if spec.get("builder") == "computational":
             measurements[name] = computational_measurement(
-                name, int(spec.get("qubits", 1)))
+                name, field("measurements", name, "qubits", kind="integer", default=1))
         else:
             ops = {}
-            for key, rows in spec["operators"].items():
+            for key in field("measurements", name, "operators"):
                 try:
                     out = int(key)
                 except ValueError:
                     out = key
-                ops[out] = _mat_from_json(
-                    rows, "measurements.%s.operators.%s" % (name, key))
-            otype = cl.type_from_json(spec["outcome"])
-            dims = tuple(spec.get("dims", (2,)))
-            measurements[name] = MeasurementFamily(name, otype, dims, ops, tol)
-    for name, spec in doc.get("kraus_symbols", {}).items():
-        if not isinstance(spec["operators"], list) or not spec["operators"]:
-            raise InterpError("kraus_symbols.%s.operators is not a non-empty "
-                              "list: %r" % (name, spec["operators"]))
-        ops = [_mat_from_json(rows, "kraus_symbols.%s.operators" % name)
-               for rows in spec["operators"]]
-        dims = tuple(spec.get("dims", (ops[0].shape[0],)))
-        sym = KrausSymbol(name, len(ops), (), dims, lambda ops=ops: list(ops))
+                ops[out] = mat_from_json(doc, ("measurements", name, "operators", key))
+            otype = cl.type_from_json(field("measurements", name, "outcome",
+                                            kind=("object", "string")))
+            measurements[name] = MeasurementFamily(
+                name, otype, dims("measurements", name, "dims", default=(2,)), ops, tol)
+    for name in field("kraus_symbols", default={}):
+        n = len(field("kraus_symbols", name, "operators", kind="array"))
+        if not n:
+            raise InterpError("kraus_symbols.%s.operators is empty" % name)
+        ops = [mat_from_json(doc, ("kraus_symbols", name, "operators", i))
+               for i in range(n)]
+        sym = KrausSymbol(name, n, (), dims("kraus_symbols", name, "dims",
+                                            default=(ops[0].shape[0],)),
+                          lambda ops=ops: list(ops))
         sym.operators((), tol)  # eager sub-normalization check
         kraus[name] = sym
     interp = Interpretation(gates=gates, measurements=measurements,
                             kraus=kraus, tolerances=tol)
-    for name, spec in doc.get("classical_vars", {}).items():
-        interp.declare_classical(name, cl.type_from_json(spec))
-    for name, spec in doc.get("quantum_vars", {}).items():
-        idx = spec.get("indices")
+    for name in field("classical_vars", default={}):
+        interp.declare_classical(name, cl.type_from_json(
+            field("classical_vars", name, kind=("object", "string"))))
+    for name in field("quantum_vars", default={}):
+        n = len(field("quantum_vars", name, "indices", kind="array", default=()))
         interp.declare_quantum(
             name,
-            dim=int(spec.get("dim", 2)),
-            index_types=[cl.type_from_json(t) for t in idx] if idx else None,
+            dim=field("quantum_vars", name, "dim", kind="integer", default=2),
+            index_types=[cl.type_from_json(field("quantum_vars", name, "indices", i,
+                                                 kind=("object", "string")))
+                         for i in range(n)],
         )
-    for name, spec in doc.get("atomic_predicates", {}).items():
-        m = _mat_from_json(spec["matrix"], "atomic_predicates.%s.matrix" % name)
-        dims = tuple(spec.get("dims", (m.shape[0],)))
-        ap = AtomicPredicate(name, (), dims, lambda m=m: m)
+    for name in field("atomic_predicates", default={}):
+        m = mat_from_json(doc, ("atomic_predicates", name, "matrix"))
+        ap = AtomicPredicate(name, (), dims("atomic_predicates", name, "dims",
+                                            default=(m.shape[0],)),
+                             lambda m=m: m)
         ap.matrix((), tol)  # eager effect check
         interp.predicates[name] = ap
     return interp

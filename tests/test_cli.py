@@ -362,3 +362,58 @@ def test_malformed_json_exits_3_naming_the_field(capsys, tmp_path, interp,
     assert cli.main(argv + ["check", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("interp, state, field", [
+    ([1], None, "top level: expected object, found array"),
+    ({"classical_vars": [1]}, None, "classical_vars: expected object"),
+    ({"classical_vars": {"x": 1}}, None, "classical_vars.x: expected object or string"),
+    ({"measurements": {"M2": {"operators": 5}}}, None,
+     "measurements.M2.operators: expected object, found integer"),
+    ({"measurements": {"M2": {"operators": {"0": [[[1]]]}}}}, None,
+     "measurements.M2.operators.0.0.0.1 is missing"),
+    ({"quantum_vars": {"q": {"indices": 5}}}, None,
+     "quantum_vars.q.indices: expected array, found integer"),
+    ({"quantum_vars": {"q": {"dim": "2"}}}, None, "quantum_vars.q.dim: expected integer"),
+    ({"gates": {"G": {"matrix": [[1, 0], [0, None]]}}}, None,
+     "gates.G.matrix.1.1: expected number or array, found null"),
+    ({"tolerances": {"psd": [1]}}, None, "tolerances.psd: expected number"),
+    (None, {"sigma": [1]}, "sigma: expected object, found array"),
+    (None, {"rho": {"pure": [1, 0]}}, "rho.pure.0: expected array, found integer"),
+    (None, {"rho": {"pure": [[1, "0"]]}}, "rho.pure.0.1: expected number, found string"),
+    (None, {"rho": {"matrix": [[1, 0], [0, 0]]}}, "rho.matrix.0.0: expected array"),
+    (None, [], "top level: expected object, found array"),
+])
+def test_malformed_interpretation_or_state_exits_3_naming_the_field(
+        capsys, tmp_path, interp, state, field):
+    ipath, spath = tmp_path / "interp.json", tmp_path / "state.json"
+    ipath.write_text(json.dumps({"quantum_vars": {"q": {}}} if interp is None else interp))
+    spath.write_text(json.dumps({} if state is None else state))
+    assert cli.main(["--interp", str(ipath), "run", "skip", "--state", str(spath)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+def test_entail_domain_of_the_wrong_shape_exits_3(capsys, files):
+    tmp_path, interp, _ = files
+    assertion = tmp_path / "a.json"
+    assertion.write_text(json.dumps({"phi": "true", "a": {
+        "kind": "atomic", "name": "P0", "targets": ["q"]}}))
+    domain = tmp_path / "domain.json"
+    for doc, field in (([1], "top level"), ({"x": 1}, "x: expected object or string")):
+        domain.write_text(json.dumps(doc))
+        assert cli.main(["--interp", interp, "entail", str(assertion), str(assertion),
+                         "--domain", str(domain)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
+def test_nesting_bound_for_the_command_line(capsys):
+    chain = lambda n: "x := " + " + ".join(["x"] * n)  # noqa: E731
+    code, doc, _ = run_cli(capsys, "parse", chain(qs.MAX_DEPTH))
+    assert code == 0 and doc["program"] == chain(qs.MAX_DEPTH)
+    for n in (qs.MAX_DEPTH + 1, 3000):
+        code, doc, err = run_cli(capsys, "parse", chain(n))
+        assert code == 3 and doc is None
+        assert err.startswith("error: nested more than %d levels deep (line 1, column "
+                              % qs.MAX_DEPTH)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cqhoare import classical as cl
 from cqhoare import linalg as la
@@ -245,6 +246,40 @@ def test_one_run_per_classical_state(monkeypatch):
     sigmas = {r.sigma.key() for r in report.records}
     assert len(runs) == len(sigmas) == 4
     assert set(runs) == {(100, 4, 4)}
+
+
+def _input_rhos_one_by_one(rng, d, samples):
+    """The fuzz inputs built one state at a time, as they were before the
+    stacked build: the reference for its bits and its draw order."""
+    kinds = ["basis-%d" % i for i in range(d)]
+    stack = np.zeros((d + 2 * samples, d, d), dtype=complex)
+    stack[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    for i in range(samples):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = v / np.linalg.norm(v)
+        kinds.append("pure-%d" % i)
+        stack[d + i] = np.outer(v, v.conj())
+    for i in range(samples):
+        rank = int(rng.integers(1, d + 1))
+        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        m = g @ g.conj().T
+        kinds.append("mixed-%d" % i)
+        stack[d + samples + i] = m / np.trace(m).real
+    return kinds, stack
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 64])
+def test_stacked_inputs_equal_one_by_one_inputs(d):
+    for samples in (1, 6, 10, 48):
+        for seed in range(5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            kinds, stack = hz._input_rhos(rng, d, samples)
+            want_kinds, want = _input_rhos_one_by_one(ref, d, samples)
+            assert kinds == want_kinds
+            assert np.array_equal(stack, want), (d, samples, seed)
+            assert stack.tobytes() == want.tobytes()  # signed zeros too
+            # and leaves the generator where the loop leaves it
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from cqhoare import classical as cl
@@ -180,9 +183,68 @@ def test_tokens_after_a_comment_and_non_decimal_digits():
 
 
 def test_long_operator_chain_needs_no_recursion():
-    e = qs.parse_expr(" + ".join(["x"] * 5000))
+    # the chain as deep as the bound allows, read within 50 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        e = qs.parse_expr(" + ".join(["x"] * qs.MAX_DEPTH))
+    finally:
+        sys.setrecursionlimit(limit)
     depth = 0
     while isinstance(e, cl.BinOp):
         assert e.op == "+" and e.right == x
         e, depth = e.left, depth + 1
-    assert e == x and depth == 4999
+    assert e == x and depth == qs.MAX_DEPTH - 1
+
+
+_DEEP = [
+    ("chain", lambda n: " + ".join(["x"] * n), qs.parse_expr),
+    ("implications", lambda n: " -> ".join(["x"] * n), qs.parse_expr),
+    ("brackets", lambda n: "(" * n + "x" + ")" * n, qs.parse_expr),
+    ("minus", lambda n: "- " * n + "x", qs.parse_expr),
+    ("not", lambda n: "not " * n + "x", qs.parse_expr),
+    ("quantifiers", lambda n: "forall i in 0..1 . " * n + "true", qs.parse_expr),
+    ("conditionals", lambda n: "if x = 0 then " * n + "skip" + " else skip fi" * n,
+     qs.parse_program),
+    ("loops", lambda n: "while x = 0 do " * n + "skip" + " od" * n, qs.parse_program),
+    ("sum", lambda n: " + ".join(["|0>_q"] * n), asrt.parse_state),
+    ("tensor", lambda n: " ".join(["|0>_q"] * n), asrt.parse_state),
+    ("state brackets", lambda n: "(" * n + "|0>_q" + ")" * n, asrt.parse_state),
+    ("gates", lambda n: "H[q] " * n + "|0>_q", asrt.parse_state),
+]
+
+
+@pytest.mark.parametrize("name, text, parse", _DEEP, ids=[d[0] for d in _DEEP])
+def test_nesting_past_the_bound_is_a_parse_error(name, text, parse):
+    for n in (qs.MAX_DEPTH + 1, 3000):
+        with pytest.raises(qs.DepthError, match=r"nested more than %d levels deep "
+                           r"\(line 1, column \d+\)" % qs.MAX_DEPTH):
+            parse(text(n))
+    # below the bound the tree is read, printed and walked without recursion errors
+    tree = parse(text(qs.MAX_DEPTH - 3))
+    if parse is asrt.parse_state:
+        asrt.format_state(tree)
+    elif parse is qs.parse_program:
+        qs.pretty(tree)
+        qs.classical_vars(tree)
+    else:
+        qs.format_expr(tree)
+        cl.free_vars(tree)
+
+
+def test_deepest_bundled_text_is_well_inside_the_bound(monkeypatch):
+    # the QFT n = 8 scripts nest 13 levels, the corpus 4 (and the README 3)
+    from cqhoare import harness as hz, prover as pv, qft
+    depths = []
+    real = qs._Parser.nest
+
+    def nest(self):
+        real(self)
+        depths.append(self.depth)
+
+    monkeypatch.setattr(qs._Parser, "nest", nest)
+    interp, accepted, mutants = hz.build_corpus()
+    for script in [qft.generate_qft(8)[1], qft.perturbed_qft_script(8)[1],
+                   *accepted.values(), *mutants.values()]:
+        pv.node_from_json(pv.node_to_json(script), measurements=set(interp.measurements))
+    assert max(depths) == 13 and 10 * max(depths) < qs.MAX_DEPTH
