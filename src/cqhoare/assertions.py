@@ -14,7 +14,8 @@ import numpy as np
 from . import classical as cl
 from . import linalg as la
 from . import qsyntax as qs
-from .qsyntax import QVar, _LEVEL, _Parser, ParseError, format_expr, format_qvar
+from .qsyntax import (QVar, _LEVEL, MAX_DEPTH, _Parser, ParseError, format_expr,
+                      format_qvar)
 
 
 class AssertionError_(ValueError):
@@ -740,6 +741,35 @@ def cq_entails(pre, post, interp, memo=None):
 
 
 class _StateParser(_Parser):
+    """With a cache, every bracketed factor "( ... )" of a document is read
+    once: its tree is kept under its exact text with the levels it opens,
+    and reused where the levels open before it leave room for them under
+    `MAX_DEPTH` (elsewhere it is read again, to raise the same DepthError)."""
+
+    def __init__(self, src, cache=None):
+        super().__init__(src)
+        self.src = src
+        self.cache = cache  # the document's `qs.parse_once` cache, or None
+        self._closing = None  # token index of the ")" matching each "(", built once
+
+    def shared_factor(self):
+        """(key, (tree, levels) or None) for the factor at "(", or (None,
+        None) without a cache or a matching ")"."""
+        if self.cache is None:
+            return None, None
+        if self._closing is None:
+            self._closing, opened = {}, []
+            for i, t in enumerate(self.toks):
+                if t.kind == "SYM" and t.text == "(":
+                    opened.append(i)
+                elif t.kind == "SYM" and t.text == ")" and opened:
+                    self._closing[opened.pop()] = i
+        close = self._closing.get(self.pos)
+        if close is None:
+            return None, None
+        key = ("factor", self.src[self.toks[self.pos].offset:self.toks[close].offset + 1])
+        return key, self.cache.get(key)
+
     def fstate(self):
         base = self.depth
         self.nest()
@@ -762,12 +792,14 @@ class _StateParser(_Parser):
         # multiplicative level would swallow the separating star.
         coeff = cl.Lit(1)
         save, base = self.pos, self.depth
-        try:
-            e = self.unary()
-            self.expect("SYM", "*")
-            coeff = e
-        except ParseError:
-            self.pos, self.depth = save, base
+        # a known factor holds a ket, which no expression does
+        if not (self.at_sym("(") and self.shared_factor()[1]):
+            try:
+                e = self.unary()
+                self.expect("SYM", "*")
+                coeff = e
+            except ParseError:
+                self.pos, self.depth = save, base
         factors = [self.fapp()]
         while self.at_sym("|") or self.at_sym("(") or self._at_gate():
             factors.append(self.fapp())
@@ -804,23 +836,33 @@ class _StateParser(_Parser):
             if t.kind == "IDENT" and len(t.text) > 1 and t.text[0] == "_":
                 # the lexer glues "_name" into one identifier
                 self.toks[self.pos] = type(t)(t.kind, t.text[1:], t.line,
-                                              t.col + 1)
+                                              t.col + 1, t.offset + 1)
             else:
                 self.expect("SYM", "_")
             q = self.qvar()
             if len(q) != 1:
                 self.fail("a ket names a single system")
             return Ket(value, q[0])
-        if self.at_sym("("):
+        if self.at_sym("("):  # shared through the cache (see the class)
+            key, hit = self.shared_factor()
+            base, peak = self.depth, self.peak
+            if hit and base + hit[1] <= MAX_DEPTH:
+                self.pos = self._closing[self.pos] + 1
+                self.peak = max(peak, base + hit[1])
+                return hit[0]
             self.take()
+            self.peak = base  # from here `peak` counts the levels this factor opens
             s = self.fstate()
             self.expect("SYM", ")")
+            if key and not hit:
+                self.cache[key] = (s, self.peak - base)
+            self.peak = max(peak, self.peak)
             return s
         self.fail("expected a formal state")
 
 
-def parse_state(text):
-    p = _StateParser(text)
+def parse_state(text, cache=None):
+    p = _StateParser(text, cache)
     s = p.fstate()
     p.done()
     return s
@@ -883,25 +925,36 @@ def pred_to_json(a):
     raise AssertionError_("unknown predicate node %r" % (a,))
 
 
-def pred_from_json(d, parsed=None):
-    """`parsed` is a `qs.parse_once` cache shared by one document."""
-    kind = d["kind"]
+def _state_proj(text, cache):
+    return StateProj(parse_state(text, cache))
+
+
+def pred_from_json(d, parsed=None, at=()):
+    """The predicate formula `d`, at path `at` in its document.  `parsed`
+    is a `qs.parse_once` cache shared by one document."""
+    def field(key, kind, *default):
+        return qs.json_field(d, (key,), kind, *default, at=at)
+
+    def texts(key, parse, *default):  # the parser reports an item that is not text
+        return tuple(qs.parse_once(parsed, parse, t) for t in field(key, "array", *default))
+
+    def sub(*path):
+        return pred_from_json(qs.json_field(d, path, "object", at=at), parsed, at + path)
+
+    kind = field("kind", "string")
     if kind == "atomic":
-        return Atomic(d["name"],
-                      tuple(qs.parse_expr(e) for e in d.get("params", [])),
-                      tuple(_qvar_from_json(q) for q in d["targets"]))
+        return Atomic(field("name", "string"), texts("params", qs.parse_expr, []),
+                      texts("targets", _qvar_from_json))
     if kind == "proj":
-        return StateProj(qs.parse_once(parsed, parse_state, d["state"]))
+        return qs.parse_once(parsed, _state_proj, field("state", None), parsed)
     if kind == "neg":
-        return Neg(pred_from_json(d["arg"], parsed))
+        return Neg(sub("arg"))
     if kind == "tensor":
-        return PTensor(pred_from_json(d["left"], parsed),
-                       pred_from_json(d["right"], parsed))
+        return PTensor(sub("left"), sub("right"))
     if kind == "kraus":
-        return Kraus(d["name"],
-                     tuple(qs.parse_expr(e) for e in d.get("params", [])),
-                     tuple(_qvar_from_json(q) for q in d.get("targets", [])),
-                     tuple(pred_from_json(b, parsed) for b in d["branches"]))
+        return Kraus(field("name", "string"), texts("params", qs.parse_expr, []),
+                     texts("targets", _qvar_from_json, []),
+                     tuple(sub("branches", i) for i in range(len(field("branches", "array")))))
     raise AssertionError_("unknown predicate kind %r" % kind)
 
 
@@ -909,6 +962,8 @@ def assertion_to_json(ca):
     return {"phi": format_expr(ca.phi), "a": pred_to_json(ca.a)}
 
 
-def assertion_from_json(d, parsed=None):
-    return CqAssertion(qs.parse_once(parsed, qs.parse_formula, d["phi"]),
-                       pred_from_json(d["a"], parsed))
+def assertion_from_json(d, parsed=None, at=()):
+    """The cq-assertion `d`, at path `at` in its document."""
+    return CqAssertion(
+        qs.parse_once(parsed, qs.parse_formula, qs.json_field(d, ("phi",), None, at=at)),
+        pred_from_json(qs.json_field(d, ("a",), "object", at=at), parsed, at + ("a",)))

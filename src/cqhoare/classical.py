@@ -27,6 +27,75 @@ class EvalError(ValueError):
     pass
 
 
+class ParseError(ValueError):
+    """Text or a JSON document that does not have the expected shape."""
+
+    def __init__(self, msg, line=None, col=None):
+        self.line = line
+        self.col = col
+        if line is not None:
+            msg = "%s (line %d, column %d)" % (msg, line, col)
+        super().__init__(msg)
+
+
+class DepthError(ParseError):
+    """Text nested deeper than `qsyntax.MAX_DEPTH`: a limit of the tool,
+    like the dimension cap, rather than a fault of the text."""
+
+
+# The JSON types a document field may be asked to have, by name.  A boolean
+# is none of them, though Python counts it an int.
+_JSON_KINDS = {"object": dict, "array": list, "string": str, "integer": int,
+               "number": (int, float)}
+_REQUIRED = object()
+
+
+def _json_types(kind):
+    if isinstance(kind, str):
+        return _JSON_KINDS[kind]
+    return tuple(_JSON_KINDS[k] for k in kind)
+
+
+def json_path(path):
+    """A path into a JSON document as messages name it."""
+    return ".".join(map(str, path)) or "top level"
+
+
+def _json_mismatch(x, kind, path):
+    found = ("boolean" if isinstance(x, bool) else "null" if x is None else
+             next((k for k, t in _JSON_KINDS.items() if isinstance(x, t)),
+                  type(x).__name__))
+    raise ParseError("%s: expected %s, found %s" % (
+        json_path(path), kind if isinstance(kind, str) else " or ".join(kind), found))
+
+
+def json_field(doc, path, kind, default=_REQUIRED, at=()):
+    """The value at `path`, a tuple of object keys and array indices, in
+    the JSON document `doc`, when it is of `kind`: a name in `_JSON_KINDS`,
+    a tuple of such names, or None for any value.  `default`, when given,
+    stands for a missing last key.  Anything else is a ParseError that
+    names the path, after `at`, the path of `doc` in a larger document."""
+    x = doc
+    for i, key in enumerate(path):
+        if isinstance(key, str):
+            if not isinstance(x, dict):
+                _json_mismatch(x, "object", at + path[:i])
+            found = key in x
+        else:
+            if not isinstance(x, list):
+                _json_mismatch(x, "array", at + path[:i])
+            found = key < len(x)
+        if found:
+            x = x[key]
+        elif default is not _REQUIRED and i == len(path) - 1:
+            return default
+        else:
+            raise ParseError("%s is missing" % json_path(at + path[:i + 1]))
+    if kind is None or isinstance(x, _json_types(kind)) and not isinstance(x, bool):
+        return x
+    _json_mismatch(x, kind, at + path)
+
+
 # ---------------------------------------------------------------------------
 # Types
 
@@ -188,20 +257,33 @@ class BitArrayType:
         return "BitArray(%d..%d)" % (self.lo, self.hi)
 
 
-def type_from_json(spec):
-    kind = spec["kind"] if isinstance(spec, dict) else spec
+def type_from_json(doc, path=()):
+    """The classical type at `path` in the JSON document `doc`: a kind
+    name, or an object with a "kind" and the fields that kind takes."""
+    spec = json_field(doc, path, ("object", "string"))
+    if isinstance(spec, str):
+        kind = spec
+    else:
+        kind = json_field(spec, ("kind",), "string", at=path)
+
+    def bound(key):
+        return json_field(spec, (key,), "integer", at=path)
+
     if kind == "bool":
         return BoolType()
     if kind == "int":
-        return IntType(int(spec["lo"]), int(spec["hi"]))
+        return IntType(bound("lo"), bound("hi"))
     if kind == "enum":
-        return EnumType(spec.get("name", "enum"), tuple(spec["labels"]))
+        n = len(json_field(spec, ("labels",), "array", at=path))
+        return EnumType(json_field(spec, ("name",), "string", "enum", at=path),
+                        tuple(json_field(spec, ("labels", i), "string", at=path)
+                              for i in range(n)))
     if kind == "real":
         return RealType()
     if kind == "complex":
         return ComplexType()
     if kind == "bits":
-        return BitArrayType(int(spec["lo"]), int(spec["hi"]))
+        return BitArrayType(bound("lo"), bound("hi"))
     raise ValueError("unknown classical type %r" % (spec,))
 
 
@@ -284,11 +366,18 @@ class ClassicalState:
         return out
 
     @staticmethod
-    def from_json(d):
+    def from_json(doc, path=()):
+        """The classical state at `path` in the JSON document `doc`, empty
+        when the last key is missing: an object of values, a bit array
+        written {"lo": l, "bits": [...]}."""
         b = {}
-        for k, v in d.items():
+        for k, v in json_field(doc, path, "object", {}).items():
             if isinstance(v, dict) and "bits" in v:
-                b[k] = Bits(int(v.get("lo", 1)), tuple(int(x) for x in v["bits"]))
+                at = path + (k,)
+                n = len(json_field(v, ("bits",), "array", at=at))
+                b[k] = Bits(json_field(v, ("lo",), "integer", 1, at=at),
+                            tuple(json_field(v, ("bits", i), "integer", at=at)
+                                  for i in range(n)))
             else:
                 b[k] = v
         return ClassicalState(b)
@@ -469,10 +558,12 @@ def eval_expr(state, expr):
         l = int(eval_expr(state, expr.hi))
         if l < k:
             return 0.0
-        total = Fraction(0)
+        # sum of arr[r] / 2^(r-k+1): the bits as an integer over 2^width;
+        # int / int rounds correctly, as float(Fraction) does
+        num = 0
         for r in range(k, l + 1):
-            total += Fraction(arr[r], 2 ** (r - k + 1))
-        return float(total)
+            num = 2 * num + arr[r]
+        return num / (1 << (l - k + 1))
     if isinstance(expr, Call):
         if expr.fn == "exp2pi":
             # e^(2 pi i x)

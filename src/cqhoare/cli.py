@@ -51,7 +51,7 @@ def _load_interp(args):
 
 def _load_state(path, interp):
     doc = _read_json(path)
-    sigma = cl.ClassicalState.from_json(qs.json_field(doc, ("sigma",), "object", {}))
+    sigma = cl.ClassicalState.from_json(doc, ("sigma",))
     layout = interp.make_layout(interp.all_systems())
     rho = qs.json_field(doc, ("rho",), "object", {})
     if "pure" in rho:
@@ -143,7 +143,7 @@ def _cmd_entail(args):
     if args.domain:
         domain = _read_json(args.domain)
         interp.classical_vars = {
-            n: cl.type_from_json(qs.json_field(domain, (n,), ("object", "string")))
+            n: cl.type_from_json(domain, (n,))
             for n in qs.json_field(domain, (), "object")}
     try:
         v = asrt.cq_entails(pre, post, interp)
@@ -176,7 +176,7 @@ def _cmd_check(args):
 def _load_triple(path, interp):
     doc = _read_json(path)
     meas = set(interp.measurements)
-    if "rule" in doc:
+    if isinstance(doc, dict) and "rule" in doc:
         return pv.node_from_json(doc, measurements=meas).conclusion
     return pv.triple_from_json(doc, measurements=meas)
 

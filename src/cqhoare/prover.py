@@ -684,13 +684,25 @@ def triple_to_json(t):
     }
 
 
-def triple_from_json(d, measurements=None, parsed=None):
-    """`parsed` is a `qs.parse_once` cache shared by one document."""
+_MODES = ("partial", "total")
+
+
+def triple_from_json(d, measurements=None, parsed=None, at=()):
+    """The Hoare triple `d`, at path `at` in its document.  `parsed` is a
+    `qs.parse_once` cache shared by one document."""
+    def field(key, kind, *default):
+        return qs.json_field(d, (key,), kind, *default, at=at)
+
+    mode = field("mode", "string", "partial")
+    if mode not in _MODES:
+        raise qs.ParseError("%s: expected %s, found %r" % (
+            cl.json_path(at + ("mode",)), " or ".join(map(repr, _MODES)), mode))
     return HoareTriple(
-        asrt.assertion_from_json(d["pre"], parsed),
-        qs.parse_once(parsed, qs.parse_program, d["program"], measurements),
-        asrt.assertion_from_json(d["post"], parsed),
-        d.get("mode", "partial"),
+        asrt.assertion_from_json(field("pre", "object"), parsed, at + ("pre",)),
+        qs.parse_once(parsed, qs.parse_program, field("program", None), measurements,
+                      False, parsed),
+        asrt.assertion_from_json(field("post", "object"), parsed, at + ("post",)),
+        mode,
     )
 
 
@@ -758,20 +770,23 @@ def node_to_json(n):
 
 def node_from_json(d, measurements=None):
     """Each distinct formula, program and state text of the document is
-    parsed once; nodes that repeat a text share its tree."""
-    return _node_from_json(d, measurements, {})
+    parsed once, and so is each program suffix and bracketed state factor
+    that texts repeat: nodes that repeat one share its tree (see
+    `qs.parse_once`).  The cache lives as long as this call."""
+    return _node_from_json(d, measurements, {}, ())
 
 
-def _node_from_json(d, measurements, parsed):
+def _node_from_json(d, measurements, parsed, at):
+    def field(key, kind, *default):
+        return qs.json_field(d, (key,), kind, *default, at=at)
+
     if not isinstance(d, dict):
-        raise qs.ParseError("proof node is not an object: %r" % (d,))
-    if not isinstance(d.get("conclusion"), dict):
-        raise qs.ParseError("conclusion is not an object: %r"
-                            % (d.get("conclusion"),))
+        raise qs.ParseError("%s: proof node is not an object: %r" % (cl.json_path(at), d))
     return ProofNode(
-        d["rule"],
-        triple_from_json(d["conclusion"], measurements, parsed),
-        tuple(_node_from_json(p, measurements, parsed)
-              for p in d.get("premises", [])),
+        field("rule", "string"),
+        triple_from_json(field("conclusion", "object"), measurements, parsed,
+                         at + ("conclusion",)),
+        tuple(_node_from_json(p, measurements, parsed, at + ("premises", i))
+              for i, p in enumerate(field("premises", "array", []))),
         _witness_from_json(d.get("witnesses")),
     )

@@ -25,30 +25,19 @@ import math
 import re
 
 from . import classical as cl
-from .classical import (
+from .classical import (  # the JSON helpers keep their qsyntax names
     BinFrac,
     BinOp,
     BitIndex,
     Call,
+    DepthError,
     Lit,
+    ParseError,
     Quant,
     UnOp,
     Var,
+    json_field,
 )
-
-
-class ParseError(ValueError):
-    def __init__(self, msg, line=None, col=None):
-        self.line = line
-        self.col = col
-        if line is not None:
-            msg = "%s (line %d, column %d)" % (msg, line, col)
-        super().__init__(msg)
-
-
-class DepthError(ParseError):
-    """Text nested deeper than `MAX_DEPTH`: a limit of the tool, like the
-    dimension cap, rather than a fault of the text."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +146,7 @@ class Tok:
     text: str
     line: int
     col: int
+    offset: int  # index of its first character in the source
 
 
 # One alternative per token kind, tried in this order at each position;
@@ -182,8 +172,8 @@ def tokenize(src):
         # `[^\W\d_]` also admits numerals such as "²", which are not letters
         if kind == "BAD" or kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
             raise ParseError("unexpected character %r" % text[0], line, col)
-        toks.append(Tok("KW" if text in _KEYWORDS else kind, text, line, col))
-    toks.append(Tok("EOF", "", line, len(src) - bol + 1))
+        toks.append(Tok("KW" if text in _KEYWORDS else kind, text, line, col, m.start()))
+    toks.append(Tok("EOF", "", line, len(src) - bol + 1, len(src)))
     return toks
 
 
@@ -213,6 +203,7 @@ class _Parser:
         self.toks += self.toks[-1:] * 2
         self.pos = 0
         self.depth = 0  # levels open at the current token
+        self.peak = 0  # the most levels open at any token so far
         self.measurements = measurements
         self.allow_sections = allow_sections
 
@@ -257,10 +248,12 @@ class _Parser:
         """Open one more level; a caller that returns closes those it
         opened by restoring `depth`."""
         self.depth += 1
-        if self.depth > MAX_DEPTH:
-            t = self.peek()
-            raise DepthError("nested more than %d levels deep" % MAX_DEPTH,
-                             t.line, t.col)
+        if self.depth > self.peak:
+            self.peak = self.depth
+            if self.depth > MAX_DEPTH:
+                t = self.peek()
+                raise DepthError("nested more than %d levels deep" % MAX_DEPTH,
+                                 t.line, t.col)
 
     def is_measurement(self, name):
         if self.measurements is not None:
@@ -269,12 +262,17 @@ class _Parser:
 
     # -- programs
 
-    def program(self):
-        cmds = [self.command()]
-        while self.at_sym(";"):
-            self.take()
+    def program(self, starts=None):
+        """A sequence of commands; `starts`, when given, is a list that
+        receives the index of each command's first token."""
+        cmds = []
+        while True:
+            if starts is not None:
+                starts.append(self.pos)
             cmds.append(self.command())
-        return seq_all(cmds)
+            if not self.at_sym(";"):
+                return seq_all(cmds)
+            self.take()
 
     def command(self):
         if self.at("KW", "skip"):
@@ -493,10 +491,20 @@ def _const_int(e):
     return None
 
 
-def parse_program(src, measurements=None, allow_sections=False):
+def parse_program(src, measurements=None, allow_sections=False, cache=None):
+    """The program `src`.  With `cache`, a `parse_once` cache, each suffix
+    c_i; ...; c_k of its top-level sequence becomes a span `parse_once`
+    answers from."""
     p = _Parser(src, measurements, allow_sections)
-    prog = p.program()
+    starts = []
+    prog = p.program(starts)
     p.done()
+    if cache is not None:
+        last, suffix = p.toks[p.pos - 1], prog
+        end = last.offset + len(last.text)
+        for i in starts:  # `Seq` nests to the right: each `.second` is a suffix
+            share_span(cache, parse_program, src, p.toks[i].offset, end, suffix)
+            suffix = suffix.second if isinstance(suffix, Seq) else None
     return prog
 
 
@@ -510,50 +518,41 @@ def parse_expr(src):
 parse_formula = parse_expr
 
 
+# Sharing trees within one document.  A `parse_once` cache is a dict that
+# lives as long as the document being read, never longer.  It maps
+# (parse, text) to the tree made from a whole text, (_SPAN, parse, length)
+# to the spans of earlier texts `parse` would read alone into a tree it
+# already made, and ("factor", text) to the tree of a bracketed state factor
+# and the levels it opens (see `assertions._StateParser`).  Equal texts give equal trees, as the parser is context-free
+# inside a span; sharing makes them the same object.
+
+_SPAN = "span"
+
+
+def share_span(cache, parse, src, start, end, tree):
+    """Let `parse_once` answer a text equal to src[start:end] with `tree`.
+    Only the offsets are kept, so a long text is never copied."""
+    cache.setdefault((_SPAN, parse, end - start), []).append((src, start, tree))
+
+
 def parse_once(cache, parse, text, *args):
-    """parse(text, *args), reusing the tree already made from the same text
-    with the same `parse` when `cache`, a dict the caller keeps for one
-    document, holds one.  `args` must not vary within a cache."""
+    """parse(text, *args), reusing the tree already made from the same
+    text, or from an equal span of an earlier one, with the same `parse`
+    when `cache`, a dict the caller keeps for one document, holds one.
+    `args` must not vary within a cache; a parse that shares its subtrees
+    takes the cache among them."""
     if cache is None or not isinstance(text, str):  # the parser reports non-text
         return parse(text, *args)
     key = (parse, text)
     tree = cache.get(key)
     if tree is None:
-        tree = cache[key] = parse(text, *args)
-    return tree
-
-
-# The JSON types a document field may be asked to have, by name.  A boolean
-# is none of them, though Python counts it an int.
-_JSON_KINDS = {"object": dict, "array": list, "string": str, "integer": int,
-               "number": (int, float)}
-_REQUIRED = object()
-
-
-def json_field(doc, path, kind, default=_REQUIRED):
-    """The value at `path`, a tuple of object keys and array indices, in
-    the JSON document `doc`, when it is of `kind`: a name in `_JSON_KINDS`
-    or a tuple of such names.  `default`, when given, stands for a missing
-    last key.  Anything else is a ParseError that names the path."""
-    def check(x, kinds, at):
-        if isinstance(x, tuple(_JSON_KINDS[k] for k in kinds)) and not isinstance(x, bool):
-            return x
-        found = ("boolean" if isinstance(x, bool) else "null" if x is None else
-                 next((k for k, t in _JSON_KINDS.items() if isinstance(x, t)),
-                      type(x).__name__))
-        raise ParseError("%s: expected %s, found %s" % (
-            ".".join(map(str, at)) or "top level", " or ".join(kinds), found))
-
-    x = doc
-    for i, key in enumerate(path):
-        x = check(x, ("object",) if isinstance(key, str) else ("array",), path[:i])
-        if key in x if isinstance(x, dict) else key < len(x):
-            x = x[key]
-        elif default is not _REQUIRED and i == len(path) - 1:
-            return default
+        for src, start, tree in cache.get((_SPAN, parse, len(text)), ()):
+            if src.startswith(text, start):
+                break
         else:
-            raise ParseError("%s is missing" % ".".join(map(str, path[:i + 1])))
-    return check(x, (kind,) if isinstance(kind, str) else kind, path)
+            tree = parse(text, *args)
+        cache[key] = tree
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -543,8 +543,7 @@ def load_interpretation(doc):
                 except ValueError:
                     out = key
                 ops[out] = mat_from_json(doc, ("measurements", name, "operators", key))
-            otype = cl.type_from_json(field("measurements", name, "outcome",
-                                            kind=("object", "string")))
+            otype = cl.type_from_json(doc, ("measurements", name, "outcome"))
             measurements[name] = MeasurementFamily(
                 name, otype, dims("measurements", name, "dims", default=(2,)), ops, tol)
     for name in field("kraus_symbols", default={}):
@@ -561,15 +560,13 @@ def load_interpretation(doc):
     interp = Interpretation(gates=gates, measurements=measurements,
                             kraus=kraus, tolerances=tol)
     for name in field("classical_vars", default={}):
-        interp.declare_classical(name, cl.type_from_json(
-            field("classical_vars", name, kind=("object", "string"))))
+        interp.declare_classical(name, cl.type_from_json(doc, ("classical_vars", name)))
     for name in field("quantum_vars", default={}):
         n = len(field("quantum_vars", name, "indices", kind="array", default=()))
         interp.declare_quantum(
             name,
             dim=field("quantum_vars", name, "dim", kind="integer", default=2),
-            index_types=[cl.type_from_json(field("quantum_vars", name, "indices", i,
-                                                 kind=("object", "string")))
+            index_types=[cl.type_from_json(doc, ("quantum_vars", name, "indices", i))
                          for i in range(n)],
         )
     for name in field("atomic_predicates", default={}):

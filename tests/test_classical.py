@@ -1,4 +1,6 @@
+from fractions import Fraction
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -250,3 +252,23 @@ def test_regrouped_mixed_operands_evaluate_alike():
     for f in (left, right):
         with pytest.raises(cl.EvalError):
             cl.satisfies(cl.ClassicalState({}), f)
+
+
+def _binfrac_by_fractions(bits, k, l):
+    return float(sum((Fraction(bits[r - k], 2 ** (r - k + 1)) for r in range(k, l + 1)),
+                     Fraction(0)))
+
+
+def test_binary_fraction_is_the_correctly_rounded_sum_of_its_bits():
+    rng = random.Random(4)
+    cases = [tuple((i >> (w - 1 - b)) & 1 for b in range(w))
+             for w in range(1, 13) for i in range(2 ** w)]
+    cases += [tuple(rng.randrange(2) for _ in range(rng.randrange(13, 81)))
+              for _ in range(500)]
+    for bits in cases:
+        lo = rng.randrange(-3, 4)
+        sigma = cl.ClassicalState({"j": cl.Bits(lo, bits)})
+        for k, l in ((lo, lo + len(bits) - 1), (lo + len(bits) // 2, lo + len(bits) - 1)):
+            got = cl.eval_expr(sigma, cl.BinFrac("j", cl.Lit(k), cl.Lit(l)))
+            want = _binfrac_by_fractions(bits[k - lo:], k, l)
+            assert type(got) is float and got.hex() == want.hex()

@@ -417,3 +417,73 @@ def test_nesting_bound_for_the_command_line(capsys):
         assert code == 3 and doc is None
         assert err.startswith("error: nested more than %d levels deep (line 1, column "
                               % qs.MAX_DEPTH)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("premises",), 5, "premises: expected array, found integer"),
+    (("conclusion", "pre"), [1], "conclusion.pre: expected object, found array"),
+    (("conclusion", "pre", "a"), 3, "conclusion.pre.a: expected object, found integer"),
+    (_UNI_PRE + ("branches",), 3,
+     "premises.0.conclusion.pre.a.branches: expected array, found integer"),
+    (("conclusion", "mode"), "bogus",
+     "conclusion.mode: expected 'partial' or 'total', found 'bogus'"),
+    (("conclusion", "mode"), 3, "conclusion.mode: expected string, found integer"),
+    (("rule",), ["Conseq"], "rule: expected string, found array"),
+])
+def test_malformed_proof_script_exits_3_naming_the_field(capsys, tmp_path, path, value,
+                                                         message):
+    interp, script = _uni_probe(tmp_path, {})
+    with open(script) as f:
+        doc = json.load(f)
+    _set(doc, path, value)
+    with open(script, "w") as f:
+        json.dump(doc, f)
+    assert cli.main(["--interp", interp, "check", script]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_fuzz_takes_only_a_known_mode(capsys, tmp_path):
+    interp, script = _uni_probe(tmp_path, {})
+    with open(script) as f:
+        triple = dict(json.load(f)["conclusion"], program="skip")
+    path = tmp_path / "triple.json"
+    for mode, code in (("partial", 0), ("total", 0), ("bogus", 3), (3, 3)):
+        triple["mode"] = mode
+        path.write_text(json.dumps(triple))
+        assert cli.main(["--interp", interp, "fuzz", str(path), "--samples", "2"]) == code
+        err = capsys.readouterr().err
+        assert (code == 3) == err.startswith("error: mode: expected")
+    path.write_text("5")
+    assert cli.main(["--interp", interp, "fuzz", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: top level: expected object")
+
+
+@pytest.mark.parametrize("interp, state, message", [
+    ({"quantum_vars": {"q": {}}, "classical_vars": {"x": {"kind": "int", "lo": [1], "hi": 2}}},
+     {}, "classical_vars.x.lo: expected integer, found array"),
+    ({"quantum_vars": {"q": {}}, "classical_vars": {"x": {"kind": "enum", "labels": [0]}}},
+     {}, "classical_vars.x.labels.0: expected string, found integer"),
+    ({"quantum_vars": {"q": {}}, "classical_vars": {"x": {"lo": 1}}},
+     {}, "classical_vars.x.kind is missing"),
+    ({"quantum_vars": {"q": {}}}, {"sigma": {"x": {"bits": 5}}},
+     "sigma.x.bits: expected array, found integer"),
+    ({"quantum_vars": {"q": {}}}, {"sigma": {"x": {"bits": [0, [1]]}}},
+     "sigma.x.bits.1: expected integer, found array"),
+    ({"quantum_vars": {"q": {}}}, {"sigma": {"x": {"lo": "1", "bits": [0]}}},
+     "sigma.x.lo: expected integer, found string"),
+])
+def test_malformed_classical_type_or_state_exits_3_naming_the_field(
+        capsys, tmp_path, interp, state, message):
+    ipath, spath = tmp_path / "interp.json", tmp_path / "state.json"
+    ipath.write_text(json.dumps(interp))
+    spath.write_text(json.dumps(state))
+    assert cli.main(["--interp", str(ipath), "run", "skip", "--state", str(spath)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
