@@ -270,6 +270,12 @@ def _targets(sigmas, interp, targets, what):
 #                        (l1, l2, reason): for a tensor of states on two of
 #                        those layouts, the union layout and the axis order
 #                        that takes the product to it (None if unchanged)
+#   ("states", names)   -> every classical state over the frozenset `names`,
+#                        listed once, or the inconclusive Verdict
+#   ("satisfying", names, phi key) -> (batches, error): the batches of those
+#                        states that satisfy phi, in order, and the error phi
+#                        raised after them, or None; so every entailment of a
+#                        script decides the same batch objects
 # Operators are never stored: a D x D matrix per sigma would outweigh the
 # vectors it is built from.
 
@@ -597,14 +603,21 @@ class Verdict:
         return self.status == "holds"
 
 
-def enumerate_states(names, interp):
+def enumerate_states(names, interp, memo=None):
     """Every classical state over `names` under the interpretation's typing,
     or an inconclusive Verdict when a name has no enumerable type or the
-    state space exceeds the cap."""
+    state space exceeds the cap.  With a memo, each set of names is
+    enumerated once."""
+    key = ("states", frozenset(names))
+    if memo is not None and key in memo:
+        return memo[key]
     try:
-        return list(cl.iter_states(interp.classical_vars, names))
+        states = list(cl.iter_states(interp.classical_vars, names))
     except cl.EvalError as e:
-        return Verdict("inconclusive", reason=str(e))
+        states = Verdict("inconclusive", reason=str(e))
+    if memo is not None:
+        memo[key] = states
+    return states
 
 
 # the most members decided together: a batch of vectors takes S x D entries
@@ -630,6 +643,29 @@ def _satisfying(states, phi):
                 part = []
     if part:
         yield tuple(part)
+
+
+def _batches(names, phi, interp, memo):
+    """(batches, error): the batches `_satisfying` yields over the states of
+    `names`, and the error it raises after them, or None; or the
+    inconclusive Verdict of the enumeration.  Without a memo the batches
+    are yielded as phi is evaluated, and the error is raised there; with
+    one they are listed once per phi."""
+    states = enumerate_states(names, interp, memo)
+    if isinstance(states, Verdict):
+        return states
+    if memo is None:
+        return _satisfying(states, phi), None
+    key = ("satisfying", frozenset(names), _tree_key(memo, phi, None))
+    hit = memo.get(key)
+    if hit is None:
+        batches, error = [], None
+        try:
+            batches.extend(_satisfying(states, phi))
+        except Exception as e:  # raised once the batches before it are decided
+            error = e
+        hit = memo[key] = (batches, error)
+    return hit
 
 
 def _loewner_le(batch, ra, rb, interp):
@@ -700,26 +736,32 @@ def entails(phi, a, b, interp, memo=None):
     With a memo, the classical variables of A and B come from their memo
     entries, and A and B that are the same tree are reflexive: A is still
     evaluated, so its errors and well-definedness decide as before, but B
-    and the Loewner comparison (B - A = 0) are skipped."""
+    and the Loewner comparison (B - A = 0) are skipped.  The states and
+    the batches that satisfy phi are listed once per memo: an error phi
+    raises is kept with the batches before it, and raised again after
+    those are decided."""
     if memo is None:
         names, reflexive = qs.classical_vars((phi, a, b)), False
     else:
         (_, ta, na), (_, tb, nb) = _intern(memo, a), _intern(memo, b)
         names, reflexive = cl.free_vars(phi).union(na, nb), ta == tb
-    states = enumerate_states(names, interp)
-    if isinstance(states, Verdict):
-        return states
+    hit = _batches(names, phi, interp, memo)
+    if isinstance(hit, Verdict):
+        return hit
+    batches, error = hit
     checked = 0
-    for batch in _satisfying(states, phi):
+    for batch in batches:
         failure = _first_failure(batch, a, b, reflexive, interp, memo)
         if failure is not None:
             return Verdict("fails", witness=batch[failure[0]], reason=failure[1])
         checked += len(batch)
+    if error is not None:
+        raise error
     return Verdict("holds", reason="%d states checked" % checked)
 
 
-def classical_entails(phi, psi, interp):
-    states = enumerate_states(cl.free_vars(phi) | cl.free_vars(psi), interp)
+def classical_entails(phi, psi, interp, memo=None):
+    states = enumerate_states(cl.free_vars(phi) | cl.free_vars(psi), interp, memo)
     if isinstance(states, Verdict):
         return states
     for sigma in states:
@@ -730,7 +772,7 @@ def classical_entails(phi, psi, interp):
 
 def cq_entails(pre, post, interp, memo=None):
     """(phi, A) |= (psi, B): classical entailment plus Loewner entailment."""
-    c = classical_entails(pre.phi, post.phi, interp)
+    c = classical_entails(pre.phi, post.phi, interp, memo)
     if c.status != "holds":
         return c
     return entails(pre.phi, pre.a, post.a, interp, memo)
@@ -750,22 +792,27 @@ class _StateParser(_Parser):
         super().__init__(src)
         self.src = src
         self.cache = cache  # the document's `qs.parse_once` cache, or None
-        self._closing = None  # token index of the ")" matching each "(", built once
+        self._closing = {}  # token index of the ")" matching each "("
+        self._bars = [0]  # the number of "|" tokens before each token index
+        opened = []
+        for i, t in enumerate(self.toks):
+            if t.kind == "SYM" and t.text == "(":
+                opened.append(i)
+            elif t.kind == "SYM" and t.text == ")" and opened:
+                self._closing[opened.pop()] = i
+            self._bars.append(self._bars[-1] + (t.kind == "SYM" and t.text == "|"))
+
+    def _holds_ket(self):
+        """Whether the brackets at "(" enclose a "|", which no expression
+        holds: then they are a factor, not a coefficient."""
+        close = self._closing.get(self.pos)
+        return close is not None and self._bars[close] > self._bars[self.pos]
 
     def shared_factor(self):
         """(key, (tree, levels) or None) for the factor at "(", or (None,
         None) without a cache or a matching ")"."""
-        if self.cache is None:
-            return None, None
-        if self._closing is None:
-            self._closing, opened = {}, []
-            for i, t in enumerate(self.toks):
-                if t.kind == "SYM" and t.text == "(":
-                    opened.append(i)
-                elif t.kind == "SYM" and t.text == ")" and opened:
-                    self._closing[opened.pop()] = i
         close = self._closing.get(self.pos)
-        if close is None:
+        if self.cache is None or close is None:
             return None, None
         key = ("factor", self.src[self.toks[self.pos].offset:self.toks[close].offset + 1])
         return key, self.cache.get(key)
@@ -792,8 +839,7 @@ class _StateParser(_Parser):
         # multiplicative level would swallow the separating star.
         coeff = cl.Lit(1)
         save, base = self.pos, self.depth
-        # a known factor holds a ket, which no expression does
-        if not (self.at_sym("(") and self.shared_factor()[1]):
+        if not (self.at_sym("(") and self._holds_ket()):
             try:
                 e = self.unary()
                 self.expect("SYM", "*")

@@ -367,7 +367,7 @@ def _check_loop_tot(node, interp, memo):
              "ranking variable %s is not fresh" % z)
     side = [("freshness", "holds", "z fresh")]
     # phi -> t >= 0, and t integer-valued, by enumeration
-    states = asrt.enumerate_states(cl.free_vars(phi) | cl.free_vars(tv), interp)
+    states = asrt.enumerate_states(cl.free_vars(phi) | cl.free_vars(tv), interp, memo)
     if isinstance(states, Verdict):
         _stop("inconclusive", states.reason, side)
     for sigma in states:
@@ -716,47 +716,40 @@ def _witness_to_json(w):
     return out
 
 
-def _witness_from_json(d):
-    d = d or {}
-    if not isinstance(d, dict):
-        raise qs.ParseError("witnesses must be an object")
-    out = {}
-    for k, v in d.items():
+def _witness_from_json(d, at):
+    """The witnesses of the proof node `d`, at path `at` in its document."""
+    ws = qs.json_field(d, ("witnesses",), "object", {}, at=at)
+    at += ("witnesses",)
+
+    def field(*path, kind):
+        return qs.json_field(ws, path, kind, at=at)
+
+    def bad(k, want):
+        raise qs.ParseError("%s: expected %s, found %r" % (cl.json_path(at + (k,)), want, ws[k]))
+
+    out = dict(ws)  # a witness no rule reads is kept as it is
+    for k in ws:
         if k == "t":
-            if not isinstance(v, str):
-                raise qs.ParseError("witness t is not an expression: %r" % (v,))
-            out[k] = qs.parse_expr(v)
+            out[k] = qs.parse_expr(field(k, kind="string"))
         elif k in ("y", "z"):
-            out[k] = _variable_name(k, v)
-        else:
-            if k in _WITNESS_TYPES and not _WITNESS_TYPES[k][1](v):
-                raise qs.ParseError("witness %s is not %s: %r"
-                                    % (k, _WITNESS_TYPES[k][0], v))
-            out[k] = v
+            if not _is_variable_name(field(k, kind="string")):
+                bad(k, "a variable name")
+        elif k == "weights":
+            for i in range(len(field(k, kind="array"))):
+                field(k, i, kind="number")
+        elif k == "samples":
+            if field(k, kind="integer") <= 0:
+                bad(k, "a positive integer")
+        elif k == "seed":
+            field(k, kind="integer")
     return out
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# The numeric witnesses: what each must be, and its test.
-_WITNESS_TYPES = {
-    "weights": ("a list of numbers", lambda v: isinstance(v, list) and all(
-        _is_int(w) or isinstance(w, float) for w in v)),
-    "samples": ("a positive integer", lambda v: _is_int(v) and v > 0),
-    "seed": ("an integer", _is_int),
-}
-
-
-def _variable_name(k, v):
-    """`v` when it is a classical variable name; raises ParseError."""
+def _is_variable_name(v):
     try:
-        if isinstance(v, str) and qs.parse_expr(v) == cl.Var(v):
-            return v
+        return qs.parse_expr(v) == cl.Var(v)
     except qs.ParseError:
-        pass
-    raise qs.ParseError("witness %s is not a variable name: %r" % (k, v))
+        return False
 
 
 def node_to_json(n):
@@ -788,5 +781,5 @@ def _node_from_json(d, measurements, parsed, at):
                          at + ("conclusion",)),
         tuple(_node_from_json(p, measurements, parsed, at + ("premises", i))
               for i, p in enumerate(field("premises", "array", []))),
-        _witness_from_json(d.get("witnesses")),
+        _witness_from_json(d, at),
     )

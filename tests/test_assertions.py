@@ -694,6 +694,29 @@ def test_batched_entailment_matches_a_per_state_loop(name, memo):
     assert name in ("targets-agree", "error-first") or want[1][0] == "fails"
 
 
+def test_entailments_sharing_a_memo_replay_a_phi_error(monkeypatch):
+    """The batches before phi's error are listed once per memo; every
+    entailment that shares them decides them, then raises that error."""
+    phi, fails, b = _ENTAILMENTS["phi-error"]
+    holds = _at_x(cl.BinOp("%", cl.Lit(2), cl.Lit(2)))  # |0>, not A's tree
+    interp, memo = _batch_interp(), {}
+    decided = []
+    first_failure = asrt._first_failure
+    monkeypatch.setattr(asrt, "_first_failure", lambda batch, *rest: (
+        decided.append(batch) or first_failure(batch, *rest)))
+    for a, b in ((fails, b), (holds, _at_x(cl.Lit(0))), (holds, _at_x(cl.Lit(0)))):
+        want = _outcome(lambda: _reference_entails(phi, a, b, interp))
+        got = _outcome(lambda: asrt.entails(phi, a, b, interp, memo))
+        if want[0] == "ok":
+            got = ("ok", (got[1].status, got[1].witness, got[1].reason))
+        assert got == want
+    assert want[0] == "error" and want[1][0] is cl.EvalError
+    # x = 0 and x = 1 satisfy phi before the error at x = 2: one batch,
+    # the same object each time
+    assert len(decided) == 3 and decided[0] is decided[1] is decided[2]
+    assert [s["x"] for s in decided[0]] == [0, 1]
+
+
 def test_dense_batches_past_the_byte_budget_go_member_by_member(monkeypatch):
     interp = interp2()
     a = PTensor(Atomic("P0", (), (Q1,)), Atomic("ID1", (), (Q2,)))

@@ -100,7 +100,32 @@ def test_malformed_witness_exits_3(capsys, tmp_path, witnesses):
     interp = _qft_interp_file(tmp_path, 1)
     assert cli.main(["--interp", str(interp), "check", str(script)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "witness" in err
+    field = "witnesses" + ("." + next(iter(witnesses)) if isinstance(witnesses, dict) else "")
+    assert err.startswith("error: %s" % field)
+
+
+def test_cached_parser_leaks_nothing_between_calls(capsys, tmp_path, monkeypatch):
+    """One parser serves every call in a process; each call still gets only
+    its own arguments and their defaults."""
+    monkeypatch.delenv("QHL_SEED", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    interp = _qft_interp_file(tmp_path, 1)
+    target = tmp_path / "triple.json"
+    target.write_text(json.dumps(pv.triple_to_json(qft.generate_qft(1)[1].conclusion)))
+    code, doc, _ = run_cli(capsys, "--interp", str(interp), "fuzz", str(target),
+                           "--samples", "2", "--seed", "7")
+    assert code == 0 and doc["config"]["seed"] == 7
+    code, doc, _ = run_cli(capsys, "--interp", str(interp), "fuzz", str(target),
+                           "--samples", "2")
+    assert code == 0 and doc["config"]["seed"] == 0
+    assert cli.main(["check"]) == 3  # the script argument is missing
+    assert run_cli(capsys, "parse", "skip")[:2] == (0, {"ok": True, "program": "skip"})
+    seen = []
+    load = cli._load_interp
+    monkeypatch.setattr(cli, "_load_interp", lambda args: seen.append(args) or load(args))
+    assert run_cli(capsys, "--interp", str(interp), "parse", "skip")[0] == 0
+    assert run_cli(capsys, "parse", "skip")[0] == 0
+    assert [a.interp for a in seen] == [str(interp), None] and seen[0] is not seen[1]
 
 
 def test_examples_qft_size_range(capsys, monkeypatch):

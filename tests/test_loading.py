@@ -90,6 +90,20 @@ def test_a_factor_reused_near_the_bound_raises_where_parsing_alone_does():
     assert _depth_error(wrapped(m + 1), cache)[0] == 2
 
 
+@pytest.mark.parametrize("cache", [None, {}])
+def test_nested_brackets_around_a_ket_are_read_once(monkeypatch, cache):
+    # a work counter: each bracket tried as a coefficient reads the whole
+    # nest inside it, 18,337 expression calls at k = 190
+    calls = []
+    unary = asrt._StateParser.unary
+    monkeypatch.setattr(asrt._StateParser, "unary",
+                        lambda self: calls.append(1) or unary(self))
+    k = 190
+    s = asrt.parse_state("(" * k + "(1/2) * |0>_q + (1/2) * |1>_q" + ")" * k, cache)
+    assert len(calls) <= k
+    assert repr(s) == repr(asrt.parse_state("(1/2) * |0>_q + (1/2) * |1>_q"))
+
+
 def test_loading_tokenizes_each_repeated_text_once(monkeypatch):
     # a work counter, not a timing: loading the QFT n = 8 script read
     # 20,099 tokens when only whole texts were shared

@@ -355,7 +355,7 @@ def test_reflexive_conseq_with_ill_formed_predicate_is_rejected(corpus):
 
 
 def _scripts():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         interp = qft.qft_interpretation(n)
         yield interp, qft.generate_qft(n)[1]
         yield interp, qft.perturbed_qft_script(n)[1]
@@ -365,6 +365,10 @@ def _scripts():
 
 
 def test_check_node_without_memo_agrees_with_check_script():
+    """check_script shares one memo, and so one enumeration and one set of
+    satisfying batches, across its nodes; each node's verdict, and each
+    consequence entailment's status, witness and reason, are those of a
+    check alone."""
     for interp, root in _scripts():
         report = pv.check_script(root, interp)
         alone = [(path, node.rule, pv.check_node(node, interp))
@@ -374,6 +378,16 @@ def test_check_node_without_memo_agrees_with_check_script():
             assert (p1, r1) == (p2, r2)
             assert (v1.status, v1.reason, v1.side_conditions) == \
                 (v2.status, v2.reason, v2.side_conditions), (p1, r1)
+        memo = {}
+        for path, node in pv._post_order(root):
+            if node.rule != "Conseq" or len(node.premises) != 1:
+                continue
+            t, tp = node.conclusion, node.premises[0].conclusion
+            for pre, post in ((t.pre, tp.pre), (tp.post, t.post)):
+                shared = asrt.cq_entails(pre, post, interp, memo)
+                alone = asrt.cq_entails(pre, post, interp)
+                assert (shared.status, shared.witness, shared.reason) == \
+                    (alone.status, alone.witness, alone.reason), path
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +521,19 @@ def test_check_script_leaves_the_user_symbols_unchanged(corpus):
     for root in list(accepted.values()) + list(mutants.values()):
         pv.check_script(root, interp)
     assert interp.kraus == before
+
+
+def test_one_enumeration_per_name_set_in_a_script(monkeypatch):
+    interp = qft.qft_interpretation(4)
+    _, script = qft.generate_qft(4)
+    seen = []
+    enumerate_ = cl.iter_states
+    monkeypatch.setattr(cl, "iter_states", lambda typing, names: (
+        seen.append(frozenset(names)) or enumerate_(typing, names)))
+    entailments = []
+    cq_entails = asrt.cq_entails
+    monkeypatch.setattr(asrt, "cq_entails", lambda *args: (
+        entailments.append(args) or cq_entails(*args)))
+    assert pv.check_script(script, interp).accepted
+    assert len(seen) == len(set(seen)) < len(entailments)
+
