@@ -270,12 +270,12 @@ def _targets(sigmas, interp, targets, what):
 #                        (l1, l2, reason): for a tensor of states on two of
 #                        those layouts, the union layout and the axis order
 #                        that takes the product to it (None if unchanged)
-#   ("states", names)   -> every classical state over the frozenset `names`,
-#                        listed once, or the inconclusive Verdict
-#   ("satisfying", names, phi key) -> (batches, error): the batches of those
-#                        states that satisfy phi, in order, and the error phi
-#                        raised after them, or None; so every entailment of a
-#                        script decides the same batch objects
+#   ("satisfying", names, phi key) -> (batches, error): the batches of the
+#                        classical states over the frozenset `names` that
+#                        satisfy phi, in order, and the error phi raised
+#                        after them, or None; or the inconclusive Verdict of
+#                        the enumeration.  So every entailment of a script
+#                        decides the same batch objects
 # Operators are never stored: a D x D matrix per sigma would outweigh the
 # vectors it is built from.
 
@@ -603,21 +603,14 @@ class Verdict:
         return self.status == "holds"
 
 
-def enumerate_states(names, interp, memo=None):
+def enumerate_states(names, interp):
     """Every classical state over `names` under the interpretation's typing,
     or an inconclusive Verdict when a name has no enumerable type or the
-    state space exceeds the cap.  With a memo, each set of names is
-    enumerated once."""
-    key = ("states", frozenset(names))
-    if memo is not None and key in memo:
-        return memo[key]
+    state space exceeds the cap."""
     try:
-        states = list(cl.iter_states(interp.classical_vars, names))
+        return list(cl.iter_states(interp.classical_vars, names))
     except cl.EvalError as e:
-        states = Verdict("inconclusive", reason=str(e))
-    if memo is not None:
-        memo[key] = states
-    return states
+        return Verdict("inconclusive", reason=str(e))
 
 
 # the most members decided together: a batch of vectors takes S x D entries
@@ -647,24 +640,22 @@ def _satisfying(states, phi):
 
 def _batches(names, phi, interp, memo):
     """(batches, error): the batches `_satisfying` yields over the states of
-    `names`, and the error it raises after them, or None; or the
-    inconclusive Verdict of the enumeration.  Without a memo the batches
-    are yielded as phi is evaluated, and the error is raised there; with
-    one they are listed once per phi."""
-    states = enumerate_states(names, interp, memo)
-    if isinstance(states, Verdict):
-        return states
-    if memo is None:
-        return _satisfying(states, phi), None
-    key = ("satisfying", frozenset(names), _tree_key(memo, phi, None))
-    hit = memo.get(key)
-    if hit is None:
+    `names`, listed, and the error it raises after them, or None; or the
+    inconclusive Verdict of the enumeration.  With a memo they are listed
+    once per set of names and phi."""
+    key = memo is not None and ("satisfying", frozenset(names), _tree_key(memo, phi, None))
+    if key and key in memo:
+        return memo[key]
+    hit = enumerate_states(names, interp)
+    if not isinstance(hit, Verdict):
         batches, error = [], None
         try:
-            batches.extend(_satisfying(states, phi))
+            batches.extend(_satisfying(hit, phi))
         except Exception as e:  # raised once the batches before it are decided
-            error = e
-        hit = memo[key] = (batches, error)
+            error = e.with_traceback(None)  # it pins no frame while kept
+        hit = batches, error
+    if key:
+        memo[key] = hit
     return hit
 
 
@@ -736,9 +727,9 @@ def entails(phi, a, b, interp, memo=None):
     With a memo, the classical variables of A and B come from their memo
     entries, and A and B that are the same tree are reflexive: A is still
     evaluated, so its errors and well-definedness decide as before, but B
-    and the Loewner comparison (B - A = 0) are skipped.  The states and
-    the batches that satisfy phi are listed once per memo: an error phi
-    raises is kept with the batches before it, and raised again after
+    and the Loewner comparison (B - A = 0) are skipped.  The batches that
+    satisfy phi are listed before any is decided, once per memo: an error
+    phi raises is kept with the batches before it, and raised again after
     those are decided."""
     if memo is None:
         names, reflexive = qs.classical_vars((phi, a, b)), False
@@ -756,12 +747,12 @@ def entails(phi, a, b, interp, memo=None):
             return Verdict("fails", witness=batch[failure[0]], reason=failure[1])
         checked += len(batch)
     if error is not None:
-        raise error
+        raise error.with_traceback(None)  # a replay adds no frames to a kept one
     return Verdict("holds", reason="%d states checked" % checked)
 
 
-def classical_entails(phi, psi, interp, memo=None):
-    states = enumerate_states(cl.free_vars(phi) | cl.free_vars(psi), interp, memo)
+def classical_entails(phi, psi, interp):
+    states = enumerate_states(cl.free_vars(phi) | cl.free_vars(psi), interp)
     if isinstance(states, Verdict):
         return states
     for sigma in states:
@@ -772,7 +763,7 @@ def classical_entails(phi, psi, interp, memo=None):
 
 def cq_entails(pre, post, interp, memo=None):
     """(phi, A) |= (psi, B): classical entailment plus Loewner entailment."""
-    c = classical_entails(pre.phi, post.phi, interp, memo)
+    c = classical_entails(pre.phi, post.phi, interp)
     if c.status != "holds":
         return c
     return entails(pre.phi, pre.a, post.a, interp, memo)
@@ -793,20 +784,20 @@ class _StateParser(_Parser):
         self.src = src
         self.cache = cache  # the document's `qs.parse_once` cache, or None
         self._closing = {}  # token index of the ")" matching each "("
-        self._bars = [0]  # the number of "|" tokens before each token index
-        opened = []
+        self._around_ket = set()  # the "(" whose brackets enclose a "|"
+        opened, bars = [], 0  # "|" tokens so far
         for i, t in enumerate(self.toks):
-            if t.kind == "SYM" and t.text == "(":
-                opened.append(i)
-            elif t.kind == "SYM" and t.text == ")" and opened:
-                self._closing[opened.pop()] = i
-            self._bars.append(self._bars[-1] + (t.kind == "SYM" and t.text == "|"))
-
-    def _holds_ket(self):
-        """Whether the brackets at "(" enclose a "|", which no expression
-        holds: then they are a factor, not a coefficient."""
-        close = self._closing.get(self.pos)
-        return close is not None and self._bars[close] > self._bars[self.pos]
+            if t.kind != "SYM":
+                continue
+            if t.text == "(":
+                opened.append((i, bars))
+            elif t.text == ")" and opened:
+                j, before = opened.pop()
+                self._closing[j] = i
+                if bars > before:
+                    self._around_ket.add(j)
+            elif t.text == "|":
+                bars += 1
 
     def shared_factor(self):
         """(key, (tree, levels) or None) for the factor at "(", or (None,
@@ -839,7 +830,7 @@ class _StateParser(_Parser):
         # multiplicative level would swallow the separating star.
         coeff = cl.Lit(1)
         save, base = self.pos, self.depth
-        if not (self.at_sym("(") and self._holds_ket()):
+        if self.pos not in self._around_ket:  # no expression holds a ket
             try:
                 e = self.unary()
                 self.expect("SYM", "*")

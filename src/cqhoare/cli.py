@@ -6,7 +6,6 @@ one-line human summary goes to stderr.  Exit codes: 0 accepted/consistent,
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -225,11 +224,7 @@ def _cmd_examples(args):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def _build_parser():
-    """The argument parser, built on the first `main` call and kept: it
-    holds only configuration, and `parse_args` returns a new namespace on
-    every call."""
     ap = argparse.ArgumentParser(
         prog="cqhoare",
         description="Quantum Hoare logic with classical variables: "

@@ -367,7 +367,7 @@ def _check_loop_tot(node, interp, memo):
              "ranking variable %s is not fresh" % z)
     side = [("freshness", "holds", "z fresh")]
     # phi -> t >= 0, and t integer-valued, by enumeration
-    states = asrt.enumerate_states(cl.free_vars(phi) | cl.free_vars(tv), interp, memo)
+    states = asrt.enumerate_states(cl.free_vars(phi) | cl.free_vars(tv), interp)
     if isinstance(states, Verdict):
         _stop("inconclusive", states.reason, side)
     for sigma in states:
@@ -730,7 +730,12 @@ def _witness_from_json(d, at):
     out = dict(ws)  # a witness no rule reads is kept as it is
     for k in ws:
         if k == "t":
-            out[k] = qs.parse_expr(field(k, kind="string"))
+            try:
+                out[k] = qs.parse_expr(field(k, kind="string"))
+            except qs.ParseError as e:  # a DepthError stays one, at its position
+                err = type(e)("%s: %s" % (cl.json_path(at + (k,)), e))
+                err.line, err.col = e.line, e.col
+                raise err from None
         elif k in ("y", "z"):
             if not _is_variable_name(field(k, kind="string")):
                 bad(k, "a variable name")

@@ -1,3 +1,5 @@
+import traceback
+
 from hypothesis import given, settings, strategies as hst
 import numpy as np
 import pytest
@@ -715,6 +717,13 @@ def test_entailments_sharing_a_memo_replay_a_phi_error(monkeypatch):
     # the same object each time
     assert len(decided) == 3 and decided[0] is decided[1] is decided[2]
     assert [s["x"] for s in decided[0]] == [0, 1]
+    # one kept error, raised again without growing its traceback
+    raised = []
+    for _ in range(3):
+        with pytest.raises(cl.EvalError) as e:
+            asrt.entails(phi, holds, _at_x(cl.Lit(0)), interp, memo)
+        raised.append((e.value, len(traceback.extract_tb(e.value.__traceback__))))
+    assert raised[0][0] is raised[2][0] and raised[0][1] == raised[2][1]
 
 
 def test_dense_batches_past_the_byte_budget_go_member_by_member(monkeypatch):

@@ -89,7 +89,7 @@ def test_check_exit_codes(capsys, tmp_path):
 
 @pytest.mark.parametrize("witnesses", [
     {"y": [1]}, {"z": {"name": "y"}}, {"y": "not a name"}, {"z": "and"},
-    {"y": ""}, {"t": 5}, ["y"], {"weights": 5}, {"weights": ["0.5"]},
+    {"y": ""}, {"t": 5}, {"t": "x +"}, ["y"], {"weights": 5}, {"weights": ["0.5"]},
     {"weights": [True]}, {"samples": 0}, {"samples": 2.5}, {"samples": "9"},
     {"seed": "1"}, {"seed": 1.0}])
 def test_malformed_witness_exits_3(capsys, tmp_path, witnesses):
@@ -104,11 +104,10 @@ def test_malformed_witness_exits_3(capsys, tmp_path, witnesses):
     assert err.startswith("error: %s" % field)
 
 
-def test_cached_parser_leaks_nothing_between_calls(capsys, tmp_path, monkeypatch):
-    """One parser serves every call in a process; each call still gets only
-    its own arguments and their defaults."""
+def test_cli_calls_in_one_process_leak_nothing(capsys, tmp_path, monkeypatch):
+    """Each of several `main` calls in one process gets only its own
+    arguments and their defaults."""
     monkeypatch.delenv("QHL_SEED", raising=False)
-    assert cli._build_parser() is cli._build_parser()
     interp = _qft_interp_file(tmp_path, 1)
     target = tmp_path / "triple.json"
     target.write_text(json.dumps(pv.triple_to_json(qft.generate_qft(1)[1].conclusion)))

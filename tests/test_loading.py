@@ -90,6 +90,22 @@ def test_a_factor_reused_near_the_bound_raises_where_parsing_alone_does():
     assert _depth_error(wrapped(m + 1), cache)[0] == 2
 
 
+def test_a_witness_expression_error_names_its_field():
+    doc = pv.node_to_json(qft.generate_qft(1)[1])
+    deep = "\n" + "(" * (qs.MAX_DEPTH + 1) + "x" + ")" * (qs.MAX_DEPTH + 1)
+    for text in ("x +", deep):
+        with pytest.raises(qs.ParseError) as alone:
+            qs.parse_expr(text)
+        doc["witnesses"] = {"t": text}
+        with pytest.raises(qs.ParseError) as got:
+            pv.node_from_json(doc)
+        # a DepthError stays one, at the same line and column
+        assert type(got.value) is type(alone.value)
+        assert (got.value.line, got.value.col) == (alone.value.line, alone.value.col)
+        assert str(got.value) == "witnesses.t: %s" % alone.value
+    assert type(got.value) is qs.DepthError and got.value.line == 2
+
+
 @pytest.mark.parametrize("cache", [None, {}])
 def test_nested_brackets_around_a_ket_are_read_once(monkeypatch, cache):
     # a work counter: each bracket tried as a coefficient reads the whole

@@ -523,17 +523,19 @@ def test_check_script_leaves_the_user_symbols_unchanged(corpus):
     assert interp.kraus == before
 
 
-def test_one_enumeration_per_name_set_in_a_script(monkeypatch):
+def test_one_enumeration_per_name_set_and_phi_in_a_script(monkeypatch):
+    """The entailments of a script list the states that satisfy phi over a
+    set of names once, not once per entailment."""
     interp = qft.qft_interpretation(4)
     _, script = qft.generate_qft(4)
     seen = []
-    enumerate_ = cl.iter_states
-    monkeypatch.setattr(cl, "iter_states", lambda typing, names: (
-        seen.append(frozenset(names)) or enumerate_(typing, names)))
+    satisfying = asrt._satisfying
+    monkeypatch.setattr(asrt, "_satisfying", lambda states, phi: (
+        seen.append((frozenset(states[0].names()), repr(phi)))
+        or satisfying(states, phi)))
     entailments = []
-    cq_entails = asrt.cq_entails
-    monkeypatch.setattr(asrt, "cq_entails", lambda *args: (
-        entailments.append(args) or cq_entails(*args)))
+    entails = asrt.entails
+    monkeypatch.setattr(asrt, "entails", lambda *args: (
+        entailments.append(args) or entails(*args)))
     assert pv.check_script(script, interp).accepted
     assert len(seen) == len(set(seen)) < len(entailments)
-
