@@ -270,12 +270,14 @@ def _targets(sigmas, interp, targets, what):
 #                        (l1, l2, reason): for a tensor of states on two of
 #                        those layouts, the union layout and the axis order
 #                        that takes the product to it (None if unchanged)
-#   ("satisfying", names, phi key) -> (batches, error): the batches of the
-#                        classical states over the frozenset `names` that
-#                        satisfy phi, in order, and the error phi raised
-#                        after them, or None; or the inconclusive Verdict of
-#                        the enumeration.  So every entailment of a script
-#                        decides the same batch objects
+#   ("satisfying", names, id(phi)) -> (phi, (batches, error)): the batches
+#                        of the classical states over the frozenset `names`
+#                        that satisfy phi, in order, and the error phi
+#                        raised after them, or None; or (phi, Verdict), the
+#                        inconclusive Verdict of the enumeration.  A loaded
+#                        document parses each formula text once, so every
+#                        entailment of a script with that phi decides the
+#                        same batch objects
 # Operators are never stored: a D x D matrix per sigma would outweigh the
 # vectors it is built from.
 
@@ -619,13 +621,13 @@ BATCH_CAP = 64
 
 def _satisfying(states, phi):
     """The states that satisfy phi, in batches of up to BATCH_CAP, in order.
-    An error of phi at a state is raised once the batch before it is
-    decided."""
+    An error of phi at a state is raised after the batch before it is
+    yielded, so that the states before it can be decided first."""
     part = []
     for sigma in states:
         try:
             ok = cl.satisfies(sigma, phi)
-        except Exception:  # raised once the states before sigma are decided
+        except Exception:
             if part:
                 yield tuple(part)
             raise
@@ -642,10 +644,10 @@ def _batches(names, phi, interp, memo):
     """(batches, error): the batches `_satisfying` yields over the states of
     `names`, listed, and the error it raises after them, or None; or the
     inconclusive Verdict of the enumeration.  With a memo they are listed
-    once per set of names and phi."""
-    key = memo is not None and ("satisfying", frozenset(names), _tree_key(memo, phi, None))
+    once per set of names and phi object."""
+    key = memo is not None and ("satisfying", frozenset(names), id(phi))
     if key and key in memo:
-        return memo[key]
+        return memo[key][1]
     hit = enumerate_states(names, interp)
     if not isinstance(hit, Verdict):
         batches, error = [], None
@@ -655,7 +657,7 @@ def _batches(names, phi, interp, memo):
             error = e.with_traceback(None)  # it pins no frame while kept
         hit = batches, error
     if key:
-        memo[key] = hit
+        memo[key] = phi, hit  # keeping phi keeps its id from being reused
     return hit
 
 
@@ -728,9 +730,9 @@ def entails(phi, a, b, interp, memo=None):
     entries, and A and B that are the same tree are reflexive: A is still
     evaluated, so its errors and well-definedness decide as before, but B
     and the Loewner comparison (B - A = 0) are skipped.  The batches that
-    satisfy phi are listed before any is decided, once per memo: an error
-    phi raises is kept with the batches before it, and raised again after
-    those are decided."""
+    satisfy phi are listed before any is decided, and with a memo once per
+    set of names and phi: an error phi raises is kept with the batches
+    before it, and raised again after those are decided."""
     if memo is None:
         names, reflexive = qs.classical_vars((phi, a, b)), False
     else:

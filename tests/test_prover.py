@@ -365,8 +365,8 @@ def _scripts():
 
 
 def test_check_node_without_memo_agrees_with_check_script():
-    """check_script shares one memo, and so one enumeration and one set of
-    satisfying batches, across its nodes; each node's verdict, and each
+    """check_script shares one memo, and so one list of satisfying batches
+    per set of names and phi, across its nodes; each node's verdict, and each
     consequence entailment's status, witness and reason, are those of a
     check alone."""
     for interp, root in _scripts():
