@@ -32,67 +32,57 @@ class NotWellDefined(Exception):
 # ASTs
 
 
-@dataclass(frozen=True)
-class Ket:
+class Ket(cl.Node):
     value: object  # ClassicalExpr selecting the basis element
     qvar: QVar
 
 
-@dataclass(frozen=True)
-class STensor:
+class STensor(cl.Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Superpose:
+class Superpose(cl.Node):
     c1: object
     s1: object
     c2: object
     s2: object
 
 
-@dataclass(frozen=True)
-class GateApp:
+class GateApp(cl.Node):
     gate: str
     params: tuple
     targets: tuple
     state: object
 
 
-@dataclass(frozen=True)
-class Atomic:
+class Atomic(cl.Node):
     name: str
     params: tuple
     targets: tuple
 
 
-@dataclass(frozen=True)
-class StateProj:
+class StateProj(cl.Node):
     state: object
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(cl.Node):
     arg: object
 
 
-@dataclass(frozen=True)
-class PTensor:
+class PTensor(cl.Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Kraus:
+class Kraus(cl.Node):
     name: str
     params: tuple
     targets: tuple
     branches: tuple
 
 
-@dataclass(frozen=True)
-class CqAssertion:
+class CqAssertion(cl.Node):
     phi: object  # classical Formula
     a: object  # PredicateFormula
 
@@ -975,7 +965,8 @@ def pred_from_json(d, parsed=None, at=()):
         return qs.json_field(d, (key,), kind, *default, at=at)
 
     def texts(key, parse, *default):  # the parser reports an item that is not text
-        return tuple(qs.parse_once(parsed, parse, t) for t in field(key, "array", *default))
+        return tuple(qs.parse_at(at + (key, i), parsed, parse, t)
+                     for i, t in enumerate(field(key, "array", *default)))
 
     def sub(*path):
         return pred_from_json(qs.json_field(d, path, "object", at=at), parsed, at + path)
@@ -985,7 +976,7 @@ def pred_from_json(d, parsed=None, at=()):
         return Atomic(field("name", "string"), texts("params", qs.parse_expr, []),
                       texts("targets", _qvar_from_json))
     if kind == "proj":
-        return qs.parse_once(parsed, _state_proj, field("state", None), parsed)
+        return qs.parse_at(at + ("state",), parsed, _state_proj, field("state", None), parsed)
     if kind == "neg":
         return Neg(sub("arg"))
     if kind == "tensor":
@@ -1004,5 +995,6 @@ def assertion_to_json(ca):
 def assertion_from_json(d, parsed=None, at=()):
     """The cq-assertion `d`, at path `at` in its document."""
     return CqAssertion(
-        qs.parse_once(parsed, qs.parse_formula, qs.json_field(d, ("phi",), None, at=at)),
+        qs.parse_at(at + ("phi",), parsed, qs.parse_formula,
+                    qs.json_field(d, ("phi",), None, at=at)),
         pred_from_json(qs.json_field(d, ("a",), "object", at=at), parsed, at + ("a",)))

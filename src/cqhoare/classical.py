@@ -5,10 +5,11 @@ declared types only.  Values: bool, int, float, complex, enum labels (str)
 and bit arrays (tuples of 0/1 indexed by a declared integer range).
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 import itertools
 import math
+from operator import attrgetter
 
 FLOAT_EQ = 1e-12
 INT_TOL = 1e-9  # a float this close to an integer is read as that integer
@@ -97,6 +98,164 @@ def json_field(doc, path, kind, default=_REQUIRED, at=()):
 
 
 # ---------------------------------------------------------------------------
+# Immutable nodes
+#
+# Every syntax tree and value type of the package (expressions, types,
+# programs, formal states, predicates, assertions, triples, layouts) is a
+# `Node`.  A frozen dataclass compiles six methods per class at import; a
+# node class gets closures over its field names instead, made from functions
+# compiled once here.  Mutable records, and records that need
+# `default_factory`, `InitVar` or slots, stay dataclasses.
+
+_set = object.__setattr__
+_NO = object()  # an argument the call did not give
+
+
+def _bind(node, args, kw):
+    """Set the fields of `node` from a call that names some arguments or
+    leaves trailing fields to their defaults; `args` holds `_NO` at each
+    position the call did not give."""
+    cls = type(node)
+    names = cls._fields
+    if len(args) > len(names):
+        raise TypeError("%s() takes %d arguments but %d were given"
+                        % (cls.__qualname__, len(names), len(args)))
+    for i, n in enumerate(names):
+        v = args[i] if i < len(args) else _NO
+        if n in kw:
+            if v is not _NO:
+                raise TypeError("%s() got multiple values for argument %r"
+                                % (cls.__qualname__, n))
+            v = kw.pop(n)
+        elif v is _NO:
+            v = cls._defaults.get(n, _NO)
+            if v is _NO:
+                raise TypeError("%s() missing required argument %r"
+                                % (cls.__qualname__, n))
+        _set(node, n, v)
+    if kw:
+        raise TypeError("%s() got an unexpected keyword argument %r"
+                        % (cls.__qualname__, next(iter(kw))))
+
+
+def _init_for(names):
+    """The `__init__` of a node class with fields `names`.  A call by
+    position that gives every field sets them in field order, so that the
+    instances of a class share their attribute keys and read as fast as a
+    dataclass's; any other call goes to `_bind`."""
+    if not names:
+        def __init__(self, **kw):
+            if kw:
+                _bind(self, (), kw)
+    elif len(names) == 1:
+        n0, = names
+
+        def __init__(self, a=_NO, /, **kw):
+            if kw or a is _NO:
+                return _bind(self, (a,), kw)
+            _set(self, n0, a)
+    elif len(names) == 2:
+        n0, n1 = names
+
+        def __init__(self, a=_NO, b=_NO, /, **kw):
+            if kw or b is _NO:
+                return _bind(self, (a, b), kw)
+            _set(self, n0, a)
+            _set(self, n1, b)
+    elif len(names) == 3:
+        n0, n1, n2 = names
+
+        def __init__(self, a=_NO, b=_NO, c=_NO, /, **kw):
+            if kw or c is _NO:
+                return _bind(self, (a, b, c), kw)
+            _set(self, n0, a)
+            _set(self, n1, b)
+            _set(self, n2, c)
+    elif len(names) == 4:
+        n0, n1, n2, n3 = names
+
+        def __init__(self, a=_NO, b=_NO, c=_NO, d=_NO, /, **kw):
+            if kw or d is _NO:
+                return _bind(self, (a, b, c, d), kw)
+            _set(self, n0, a)
+            _set(self, n1, b)
+            _set(self, n2, c)
+            _set(self, n3, d)
+    else:
+        def __init__(self, *args, **kw):
+            _bind(self, args, kw)
+    return __init__
+
+
+def _compare_for(names):
+    """`__eq__` and `__hash__` of a node class with fields `names`: nodes
+    are equal when their classes are the same and the tuples of their fields
+    equal, and hash as that tuple."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+    else:
+        # the fields as a tuple, read by one C call
+        get = attrgetter(*names) if names else (lambda node: ())
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(get(self))
+    return __eq__, __hash__
+
+
+def _init_post(self, *args, **kw):
+    self._init(*args, **kw)
+    self.__post_init__()
+
+
+class Node:
+    """Base of the immutable trees and values.  A subclass declares its
+    fields as annotations, with trailing defaults as class attributes, and
+    may define `__post_init__`, which construction calls.  Construction by
+    position or keyword, `==`, `hash`, `repr` and the refusal to assign are
+    those of a frozen dataclass."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        cls._fields = names = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+        cls.__eq__, cls.__hash__ = _compare_for(names)
+        if "__init__" not in cls.__dict__:
+            cls._init = _init_for(names)
+            cls._init.__qualname__ = cls.__qualname__ + ".__init__"
+            cls.__init__ = _init_post if hasattr(cls, "__post_init__") else cls._init
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (n, getattr(self, n)) for n in self._fields))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+
+def replace(node, **changes):
+    """`node` with the fields named in `changes` set to their values."""
+    return type(node)(**{**{n: getattr(node, n) for n in node._fields}, **changes})
+
+
+# ---------------------------------------------------------------------------
 # Types
 
 
@@ -106,8 +265,7 @@ def json_field(doc, path, kind, default=_REQUIRED, at=()):
 # `value(i)`, the i-th element of `values()`, built alone.
 
 
-@dataclass(frozen=True)
-class BoolType:
+class BoolType(Node):
     def size(self):
         return 2
 
@@ -124,8 +282,7 @@ class BoolType:
         return "Bool"
 
 
-@dataclass(frozen=True)
-class IntType:
+class IntType(Node):
     lo: int
     hi: int
 
@@ -145,8 +302,7 @@ class IntType:
         return "Int(%d..%d)" % (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class EnumType:
+class EnumType(Node):
     name: str
     labels: tuple
 
@@ -166,8 +322,7 @@ class EnumType:
         return "Enum(%s)" % ",".join(self.labels)
 
 
-@dataclass(frozen=True)
-class RealType:
+class RealType(Node):
     def size(self):
         return None
 
@@ -181,8 +336,7 @@ class RealType:
         return "Real"
 
 
-@dataclass(frozen=True)
-class ComplexType:
+class ComplexType(Node):
     def size(self):
         return None
 
@@ -196,8 +350,7 @@ class ComplexType:
         return "Complex"
 
 
-@dataclass(frozen=True)
-class Bits:
+class Bits(Node):
     """A bit-array value; `lo` is the index of the first bit."""
 
     lo: int
@@ -220,8 +373,7 @@ class Bits:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class BitArrayType:
+class BitArrayType(Node):
     lo: int
     hi: int
 
@@ -387,39 +539,33 @@ class ClassicalState:
 # Expressions
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Node):
     value: object
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Node):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class UnOp:
+class UnOp(Node):
     op: str
     arg: object
 
 
-@dataclass(frozen=True)
-class BitIndex:
+class BitIndex(Node):
     """array[index]: one bit of a bit-array variable."""
 
     array: str
     index: object
 
 
-@dataclass(frozen=True)
-class BinFrac:
+class BinFrac(Node):
     """Binary fraction 0.array[lo]array[lo+1]...array[hi]."""
 
     array: str
@@ -427,14 +573,12 @@ class BinFrac:
     hi: object
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Node):
     fn: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Quant:
+class Quant(Node):
     kind: str  # "forall" | "exists"
     var: str
     vartype: object
@@ -733,8 +877,7 @@ def _flatten(op, e, out):
         out.append(e)
 
 
-@dataclass(frozen=True)
-class _TypedLit:
+class _TypedLit(Node):
     """A literal in normal form: its Python type is part of it, so that
     1, 1.0 and true, which are equal as Python values, do not match."""
 

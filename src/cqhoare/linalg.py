@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .classical import Node
+
 # System id: (base name, resolved subscripts).  Hashable and orderable
 # within one declaration, which is all the canonical ordering needs.
 SystemId = tuple
@@ -18,8 +20,7 @@ SystemId = tuple
 DIM_CAP = 2 ** 14
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Node):
     hermitian: float = 1e-10
     psd: float = 1e-9
     trace: float = 1e-9
@@ -30,8 +31,7 @@ class Tolerances:
 
     @staticmethod
     def from_dict(d):
-        known = {f for f in Tolerances.__dataclass_fields__}
-        return Tolerances(**{k: float(v) for k, v in d.items() if k in known})
+        return Tolerances(**{k: float(v) for k, v in d.items() if k in Tolerances._fields})
 
 
 def system_id(name, subs=()):
@@ -53,8 +53,7 @@ class DimensionCapError(LayoutError):
     """A well-formed layout whose total dimension exceeds DIM_CAP."""
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
+class RegisterLayout(Node):
     """Ordered collection of systems; the order is the kron order."""
 
     systems: tuple  # tuple of (SystemId, dim)

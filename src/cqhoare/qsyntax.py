@@ -19,7 +19,7 @@ Expressions are read by precedence climbing over one table, `_LEVEL`, which
 section lists the operators in its order.
 """
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 import functools
 import math
 import re
@@ -32,6 +32,7 @@ from .classical import (  # the JSON helpers keep their qsyntax names
     Call,
     DepthError,
     Lit,
+    Node,
     ParseError,
     Quant,
     UnOp,
@@ -44,59 +45,50 @@ from .classical import (  # the JSON helpers keep their qsyntax names
 # AST
 
 
-@dataclass(frozen=True)
-class QVar:
+class QVar(Node):
     """A possibly subscripted quantum variable occurrence."""
 
     name: str
     subs: tuple = ()
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Node):
     var: str
     expr: object
 
 
-@dataclass(frozen=True)
-class Init:
+class Init(Node):
     qvar: QVar
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Node):
     name: str
     params: tuple
     targets: tuple  # of QVar
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Node):
     var: str
     meas: str
     targets: tuple
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Node):
     first: object
     second: object
 
 
-@dataclass(frozen=True)
-class If:
+class If(Node):
     cond: object
     then: object
     orelse: object
 
 
-@dataclass(frozen=True)
-class While:
+class While(Node):
     cond: object
     body: object
 
@@ -555,6 +547,18 @@ def parse_once(cache, parse, text, *args):
     return tree
 
 
+def parse_at(at, cache, parse, text, *args):
+    """parse_once(cache, parse, text, *args) for the text at path `at` in a
+    JSON document: a ParseError names the path before its message, and a
+    DepthError stays one, at its line and column."""
+    try:
+        return parse_once(cache, parse, text, *args)
+    except ParseError as e:
+        err = type(e)("%s: %s" % (cl.json_path(at), e))
+        err.line, err.col = e.line, e.col
+        raise err from None
+
+
 # ---------------------------------------------------------------------------
 # Pretty printing
 
@@ -673,8 +677,8 @@ def _qvar_entry(q):
 # Generic syntax walks
 #
 # Every syntax node (program, formal state, predicate, assertion, triple,
-# QVar) is a frozen dataclass whose fields are strings, nodes, tuples of
-# nodes, or classical expressions.  An expression is a leaf here.
+# QVar) is a `cl.Node` whose fields are strings, nodes, tuples of nodes, or
+# classical expressions.  An expression is a leaf here.
 
 
 _SEQS = (tuple, list)
@@ -682,8 +686,8 @@ _SEQS = (tuple, list)
 
 @functools.cache
 def field_names(cls):
-    """Field names of a dataclass type in order; None for any other type."""
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+    """Field names of a node type in order; None for any other type."""
+    return cls._fields if issubclass(cls, Node) else None
 
 
 @functools.cache

@@ -189,8 +189,7 @@ class AtomicPredicate:
         return k
 
 
-@dataclass(frozen=True)
-class QuantumVarDecl:
+class QuantumVarDecl(cl.Node):
     name: str
     dim: int
     index_types: object = None  # tuple of finite ClassicalType, or None

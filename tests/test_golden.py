@@ -97,12 +97,12 @@ X_GATE = qs.Gate("X", (), (Q1,))
 
 
 def _set(node, **triple_fields):
-    return replace(node, conclusion=replace(node.conclusion, **triple_fields))
+    return replace(node, conclusion=cl.replace(node.conclusion, **triple_fields))
 
 
 def _set_assertion(node, side, **fields):
     t = node.conclusion
-    return _set(node, **{side: replace(getattr(t, side), **fields)})
+    return _set(node, **{side: cl.replace(getattr(t, side), **fields)})
 
 
 def _premise(pre, program, post, mode="partial"):
@@ -199,18 +199,18 @@ def _targeted(accepted):
     scaled = accepted["accumulate_scaled"]
     s_pre, s_post = scaled.conclusion.pre.a, scaled.conclusion.post.a
     yield "Accum1 pre branch differs", _set_assertion(
-        scaled, "pre", a=replace(s_pre, branches=(P1,)))
+        scaled, "pre", a=cl.replace(s_pre, branches=(P1,)))
     yield "Accum1 post symbol of rank 2", _set_assertion(
-        scaled, "post", a=replace(s_post, name="FB2"))
+        scaled, "post", a=cl.replace(s_post, name="FB2"))
     yield "Accum1 post parameters differ", _set_assertion(
-        scaled, "post", a=replace(s_post, params=(cl.Lit(1),)))
+        scaled, "post", a=cl.replace(s_post, params=(cl.Lit(1),)))
     yield "Accum1 post targets differ", _set_assertion(
-        scaled, "post", a=replace(s_post, targets=(Q1,)))
+        scaled, "post", a=cl.replace(s_post, targets=(Q1,)))
     yield "Accum1 symbols swapped", _set_assertion(
-        _set_assertion(scaled, "pre", a=replace(s_pre, name="SCALEB")),
-        "post", a=replace(s_post, name="SCALEA"))
+        _set_assertion(scaled, "pre", a=cl.replace(s_pre, name="SCALEB")),
+        "post", a=cl.replace(s_post, name="SCALEA"))
     yield "Accum1 post symbol with dimensions", _set_assertion(
-        scaled, "post", a=replace(s_post, name="F_H"))
+        scaled, "post", a=cl.replace(s_post, name="F_H"))
     yield "Accum1 disjunct over an undeclared variable", accum(
         "Accum1", kraus("SCALEA", [p0]), kraus("SCALEB", [P1]),
         [(cl.BinOp("=", w, cl.Lit(0)), P1)])
@@ -237,13 +237,13 @@ def _targeted(accepted):
     branches = accepted["accumulate_branches"]
     b_pre, b_post = branches.conclusion.pre.a, branches.conclusion.post.a
     yield "Accum2 pre branch differs", _set_assertion(
-        branches, "pre", a=replace(b_pre, branches=b_pre.branches[:1] + (P1,)))
+        branches, "pre", a=cl.replace(b_pre, branches=b_pre.branches[:1] + (P1,)))
     yield "Accum2 post targets differ", _set_assertion(
-        branches, "post", a=replace(b_post, targets=(qs.QVar("q2"),)))
+        branches, "post", a=cl.replace(b_post, targets=(qs.QVar("q2"),)))
     yield "Accum2 post parameters differ", _set_assertion(
-        branches, "post", a=replace(b_post, params=(cl.Lit(1),)))
+        branches, "post", a=cl.replace(b_post, params=(cl.Lit(1),)))
     yield "Accum2 post branches swapped", _set_assertion(
-        branches, "post", a=replace(b_post, branches=b_post.branches[::-1]))
+        branches, "post", a=cl.replace(b_post, branches=b_post.branches[::-1]))
     yield "Accum2 premise posts differ", accum(
         "Accum2", fb2, kraus("FB2", [p0, P1], targets=(Q1,)),
         [(cl.TRUE, p0), (x0, P1)], post_phi=cl.TRUE)
@@ -254,12 +254,12 @@ def _targeted(accepted):
     cmax = accepted["convex_max"]
     m_pre, m_post = cmax.conclusion.pre.a, cmax.conclusion.post.a
     yield "Convex1 pre symbol is not a weighted sum", _set_assertion(
-        cmax, "pre", a=replace(m_pre, name="SCALEA", params=()))
+        cmax, "pre", a=cl.replace(m_pre, name="SCALEA", params=()))
     yield "Convex1 pre branch differs", _set_assertion(
-        cmax, "pre", a=replace(m_pre, branches=(P1,)))
+        cmax, "pre", a=cl.replace(m_pre, branches=(P1,)))
     yield "Convex1 weights differ", replace(cmax, witnesses={"weights": [0.4]})
     yield "Convex1 post weight is not the maximum", _set_assertion(
-        cmax, "post", a=replace(m_post, params=(cl.Lit(0.4),)))
+        cmax, "post", a=cl.replace(m_post, params=(cl.Lit(0.4),)))
     half = (cl.Lit(0.5), cl.Lit(0.5))
     wsum2 = kraus("WSUM2", [p0, P1], params=half)
     wmax = kraus("WSUM1", [P1], params=half[:1])
@@ -283,13 +283,13 @@ def _targeted(accepted):
     cmix = accepted["convex_mix"]
     x_pre, x_post = cmix.conclusion.pre.a, cmix.conclusion.post.a
     yield "Convex2 pre symbol is not a weighted sum", _set_assertion(
-        cmix, "pre", a=replace(x_pre, name="FB2", params=(), targets=(Q1,)))
+        cmix, "pre", a=cl.replace(x_pre, name="FB2", params=(), targets=(Q1,)))
     yield "Convex2 weights differ", replace(
         cmix, witnesses={"weights": [0.4, 0.3]})
     yield "Convex2 post weights differ", _set_assertion(
-        cmix, "post", a=replace(x_post, params=x_post.params[::-1]))
+        cmix, "post", a=cl.replace(x_post, params=x_post.params[::-1]))
     yield "Convex2 post branches swapped", _set_assertion(
-        cmix, "post", a=replace(x_post, branches=x_post.branches[::-1]))
+        cmix, "post", a=cl.replace(x_post, branches=x_post.branches[::-1]))
     yield "Convex2 premise posts differ", accum(
         "Convex2", wsum2, kraus("WSUM2", [p0, P1], params=half),
         [(cl.TRUE, p0), (x0, P1)], post_phi=cl.TRUE, witnesses=halves)

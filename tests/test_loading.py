@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from cqhoare import assertions as asrt
+from cqhoare import cli
 from cqhoare import harness as hz
 from cqhoare import prover as pv
 from cqhoare import qft
@@ -104,6 +105,53 @@ def test_a_witness_expression_error_names_its_field():
         assert (got.value.line, got.value.col) == (alone.value.line, alone.value.col)
         assert str(got.value) == "witnesses.t: %s" % alone.value
     assert type(got.value) is qs.DepthError and got.value.line == 2
+
+
+_UNI = ("premises", 0, "premises", 0, "premises", 0)  # the Uni node of QFT n = 1
+_DEEP = "\n" + "(" * (qs.MAX_DEPTH + 1) + "x" + ")" * (qs.MAX_DEPTH + 1)
+_DEEP_STATE = "(" * (qs.MAX_DEPTH + 1) + "|0>_q[1]" + ")" * (qs.MAX_DEPTH + 1)
+
+
+@pytest.mark.parametrize("path, text, parse", [
+    (("premises", 0, "conclusion", "pre", "phi"), "x +", qs.parse_formula),
+    (("conclusion", "post", "phi"), _DEEP, qs.parse_formula),
+    (("conclusion", "program"), "H[q[1]]; if", qs.parse_program),
+    (("premises", 0, "conclusion", "post", "a", "state"), "|0>_", asrt.parse_state),
+    (("conclusion", "pre", "a", "state"), _DEEP_STATE, asrt.parse_state),
+    (_UNI + ("conclusion", "pre", "a", "params", 0), "x +", qs.parse_expr),
+    (_UNI + ("conclusion", "pre", "a", "params", 0), _DEEP, qs.parse_expr),
+    (_UNI + ("conclusion", "pre", "a", "targets", 0), "q[", asrt._qvar_from_json),
+    (_UNI + ("conclusion", "post", "a", "state"), 5, asrt.parse_state),
+])
+def test_a_text_error_names_its_path(capsys, tmp_path, path, text, parse):
+    """A formula, program, state, parameter or target that does not parse
+    exits 3 with its path in the document before the parser's message; a
+    DepthError stays one, at the same line and column."""
+    doc = pv.node_to_json(qft.generate_qft(1)[1])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, list) and path[-1] == len(parent):
+        parent.append(text)
+    else:
+        parent[path[-1]] = text
+    with pytest.raises(qs.ParseError) as alone:
+        parse(text)
+    with pytest.raises(qs.ParseError) as got:
+        pv.node_from_json(doc)
+    assert str(got.value) == "%s: %s" % (".".join(map(str, path)), alone.value)
+    assert type(got.value) is type(alone.value)
+    assert (got.value.line, got.value.col) == (alone.value.line, alone.value.col)
+
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps({
+        "classical_vars": {"j": {"kind": "bits", "lo": 1, "hi": 1},
+                           "n": {"kind": "int", "lo": 1, "hi": 1}},
+        "quantum_vars": {"q": {"dim": 2, "indices": [{"kind": "int", "lo": 1, "hi": 1}]}}}))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(doc))
+    assert cli.main(["--interp", str(interp), "check", str(script)]) == 3
+    assert capsys.readouterr().err == "error: %s\n" % got.value
 
 
 @pytest.mark.parametrize("cache", [None, {}])

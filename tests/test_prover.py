@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,7 +224,7 @@ def test_convex_post_symbol_takes_one_branch_per_premise_shape(corpus, name,
     node = accepted[name]
     t = node.conclusion
     branches = (t.post.a.branches * count)[:count]
-    post = CqAssertion(t.post.phi, replace(t.post.a, branches=branches))
+    post = CqAssertion(t.post.phi, cl.replace(t.post.a, branches=branches))
     bad = pv.ProofNode(node.rule, pv.HoareTriple(t.pre, t.program, post),
                        node.premises, node.witnesses)
     v = pv.check_node(bad, interp)
