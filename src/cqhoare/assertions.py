@@ -965,8 +965,8 @@ def pred_from_json(d, parsed=None, at=()):
         return qs.json_field(d, (key,), kind, *default, at=at)
 
     def texts(key, parse, *default):  # the parser reports an item that is not text
-        return tuple(qs.parse_at(at + (key, i), parsed, parse, t)
-                     for i, t in enumerate(field(key, "array", *default)))
+        return tuple(qs.parse_once(at + (key, i), parsed, parse, t)
+                       for i, t in enumerate(field(key, "array", *default)))
 
     def sub(*path):
         return pred_from_json(qs.json_field(d, path, "object", at=at), parsed, at + path)
@@ -976,7 +976,7 @@ def pred_from_json(d, parsed=None, at=()):
         return Atomic(field("name", "string"), texts("params", qs.parse_expr, []),
                       texts("targets", _qvar_from_json))
     if kind == "proj":
-        return qs.parse_at(at + ("state",), parsed, _state_proj, field("state", None), parsed)
+        return qs.parse_once(at + ("state",), parsed, _state_proj, field("state", None), parsed)
     if kind == "neg":
         return Neg(sub("arg"))
     if kind == "tensor":
@@ -995,6 +995,6 @@ def assertion_to_json(ca):
 def assertion_from_json(d, parsed=None, at=()):
     """The cq-assertion `d`, at path `at` in its document."""
     return CqAssertion(
-        qs.parse_at(at + ("phi",), parsed, qs.parse_formula,
-                    qs.json_field(d, ("phi",), None, at=at)),
+        qs.parse_once(at + ("phi",), parsed, qs.parse_formula,
+                      qs.json_field(d, ("phi",), None, at=at)),
         pred_from_json(qs.json_field(d, ("a",), "object", at=at), parsed, at + ("a",)))

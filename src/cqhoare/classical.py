@@ -7,6 +7,7 @@ and bit arrays (tuples of 0/1 indexed by a declared integer range).
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+import inspect
 import itertools
 import math
 from operator import attrgetter
@@ -103,88 +104,73 @@ def json_field(doc, path, kind, default=_REQUIRED, at=()):
 # Every syntax tree and value type of the package (expressions, types,
 # programs, formal states, predicates, assertions, triples, layouts) is a
 # `Node`.  A frozen dataclass compiles six methods per class at import; a
-# node class gets closures over its field names instead, made from functions
+# node class gets its `__init__`, `__eq__` and `__hash__` made from functions
 # compiled once here.  Mutable records, and records that need
 # `default_factory`, `InitVar` or slots, stay dataclasses.
 
 _set = object.__setattr__
-_NO = object()  # an argument the call did not give
 
 
-def _bind(node, args, kw):
-    """Set the fields of `node` from a call that names some arguments or
-    leaves trailing fields to their defaults; `args` holds `_NO` at each
-    position the call did not give."""
-    cls = type(node)
-    names = cls._fields
-    if len(args) > len(names):
-        raise TypeError("%s() takes %d arguments but %d were given"
-                        % (cls.__qualname__, len(names), len(args)))
-    for i, n in enumerate(names):
-        v = args[i] if i < len(args) else _NO
-        if n in kw:
-            if v is not _NO:
-                raise TypeError("%s() got multiple values for argument %r"
-                                % (cls.__qualname__, n))
-            v = kw.pop(n)
-        elif v is _NO:
-            v = cls._defaults.get(n, _NO)
-            if v is _NO:
-                raise TypeError("%s() missing required argument %r"
-                                % (cls.__qualname__, n))
-        _set(node, n, v)
-    if kw:
-        raise TypeError("%s() got an unexpected keyword argument %r"
-                        % (cls.__qualname__, next(iter(kw))))
+def _init_for(names, defaults):
+    """The `__init__` of a node class with fields `names`, the last of them
+    defaulting to `defaults`: the function below for that many fields, with
+    its parameters renamed after the fields.  A call binds its arguments,
+    and reports a bad call, as the dataclass's `__init__` does; the fields
+    are set in field order, so that the instances of a class share their
+    attribute keys and read as fast as a dataclass's."""
+    if len(names) > 7:
+        raise TypeError("a node class has at most 7 fields")
+    n0, n1, n2, n3, n4, n5, n6 = names + (None,) * (7 - len(names))
 
+    def init0(self):
+        pass
 
-def _init_for(names):
-    """The `__init__` of a node class with fields `names`.  A call by
-    position that gives every field sets them in field order, so that the
-    instances of a class share their attribute keys and read as fast as a
-    dataclass's; any other call goes to `_bind`."""
-    if not names:
-        def __init__(self, **kw):
-            if kw:
-                _bind(self, (), kw)
-    elif len(names) == 1:
-        n0, = names
+    def init1(self, a):
+        _set(self, n0, a)
 
-        def __init__(self, a=_NO, /, **kw):
-            if kw or a is _NO:
-                return _bind(self, (a,), kw)
-            _set(self, n0, a)
-    elif len(names) == 2:
-        n0, n1 = names
+    def init2(self, a, b):
+        _set(self, n0, a)
+        _set(self, n1, b)
 
-        def __init__(self, a=_NO, b=_NO, /, **kw):
-            if kw or b is _NO:
-                return _bind(self, (a, b), kw)
-            _set(self, n0, a)
-            _set(self, n1, b)
-    elif len(names) == 3:
-        n0, n1, n2 = names
+    def init3(self, a, b, c):
+        _set(self, n0, a)
+        _set(self, n1, b)
+        _set(self, n2, c)
 
-        def __init__(self, a=_NO, b=_NO, c=_NO, /, **kw):
-            if kw or c is _NO:
-                return _bind(self, (a, b, c), kw)
-            _set(self, n0, a)
-            _set(self, n1, b)
-            _set(self, n2, c)
-    elif len(names) == 4:
-        n0, n1, n2, n3 = names
+    def init4(self, a, b, c, d):
+        _set(self, n0, a)
+        _set(self, n1, b)
+        _set(self, n2, c)
+        _set(self, n3, d)
 
-        def __init__(self, a=_NO, b=_NO, c=_NO, d=_NO, /, **kw):
-            if kw or d is _NO:
-                return _bind(self, (a, b, c, d), kw)
-            _set(self, n0, a)
-            _set(self, n1, b)
-            _set(self, n2, c)
-            _set(self, n3, d)
-    else:
-        def __init__(self, *args, **kw):
-            _bind(self, args, kw)
-    return __init__
+    def init5(self, a, b, c, d, e):
+        _set(self, n0, a)
+        _set(self, n1, b)
+        _set(self, n2, c)
+        _set(self, n3, d)
+        _set(self, n4, e)
+
+    def init6(self, a, b, c, d, e, f):
+        _set(self, n0, a)
+        _set(self, n1, b)
+        _set(self, n2, c)
+        _set(self, n3, d)
+        _set(self, n4, e)
+        _set(self, n5, f)
+
+    def init7(self, a, b, c, d, e, f, g):
+        _set(self, n0, a)
+        _set(self, n1, b)
+        _set(self, n2, c)
+        _set(self, n3, d)
+        _set(self, n4, e)
+        _set(self, n5, f)
+        _set(self, n6, g)
+
+    init = (init0, init1, init2, init3, init4, init5, init6, init7)[len(names)]
+    init.__code__ = init.__code__.replace(co_name="__init__", co_varnames=("self",) + names)
+    init.__defaults__ = defaults or None
+    return init
 
 
 def _compare_for(names):
@@ -231,11 +217,14 @@ class Node:
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
-        cls._fields = names = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+        cls._fields = names = cls._fields + tuple(inspect.get_annotations(cls))
+        defaults = tuple(getattr(cls, n) for n in names if hasattr(cls, n))
+        if any(hasattr(cls, n) for n in names[:len(names) - len(defaults)]):
+            raise TypeError("%s: a field without a default follows one with a default"
+                            % cls.__qualname__)
         cls.__eq__, cls.__hash__ = _compare_for(names)
         if "__init__" not in cls.__dict__:
-            cls._init = _init_for(names)
+            cls._init = _init_for(names, defaults)
             cls._init.__qualname__ = cls.__qualname__ + ".__init__"
             cls.__init__ = _init_post if hasattr(cls, "__post_init__") else cls._init
 

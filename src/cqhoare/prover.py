@@ -698,8 +698,8 @@ def triple_from_json(d, measurements=None, parsed=None, at=()):
             cl.json_path(at + ("mode",)), " or ".join(map(repr, _MODES)), mode))
     return HoareTriple(
         asrt.assertion_from_json(field("pre", "object"), parsed, at + ("pre",)),
-        qs.parse_at(at + ("program",), parsed, qs.parse_program, field("program", None),
-                    measurements, False, parsed),
+        qs.parse_once(at + ("program",), parsed, qs.parse_program, field("program", None),
+                      measurements, False, parsed),
         asrt.assertion_from_json(field("post", "object"), parsed, at + ("post",)),
         mode,
     )
@@ -729,7 +729,7 @@ def _witness_from_json(d, at):
     out = dict(ws)  # a witness no rule reads is kept as it is
     for k in ws:
         if k == "t":
-            out[k] = qs.parse_at(at + (k,), None, qs.parse_expr, field(k, kind="string"))
+            out[k] = qs.parse_once(at + (k,), None, qs.parse_expr, field(k, kind="string"))
         elif k in ("y", "z"):
             if not _is_variable_name(field(k, kind="string")):
                 bad(k, "a variable name")

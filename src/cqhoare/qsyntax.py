@@ -527,32 +527,27 @@ def share_span(cache, parse, src, start, end, tree):
     cache.setdefault((_SPAN, parse, end - start), []).append((src, start, tree))
 
 
-def parse_once(cache, parse, text, *args):
-    """parse(text, *args), reusing the tree already made from the same
-    text, or from an equal span of an earlier one, with the same `parse`
-    when `cache`, a dict the caller keeps for one document, holds one.
-    `args` must not vary within a cache; a parse that shares its subtrees
-    takes the cache among them."""
-    if cache is None or not isinstance(text, str):  # the parser reports non-text
-        return parse(text, *args)
-    key = (parse, text)
-    tree = cache.get(key)
-    if tree is None:
-        for src, start, tree in cache.get((_SPAN, parse, len(text)), ()):
-            if src.startswith(text, start):
-                break
-        else:
-            tree = parse(text, *args)
-        cache[key] = tree
-    return tree
-
-
-def parse_at(at, cache, parse, text, *args):
-    """parse_once(cache, parse, text, *args) for the text at path `at` in a
-    JSON document: a ParseError names the path before its message, and a
-    DepthError stays one, at its line and column."""
+def parse_once(at, cache, parse, text, *args):
+    """parse(text, *args) for the text at path `at` in a JSON document,
+    reusing the tree already made from the same text, or from an equal span
+    of an earlier one, with the same `parse` when `cache`, a dict the caller
+    keeps for one document, holds one.  `args` must not vary within a
+    cache; a parse that shares its subtrees takes the cache among them.  A
+    ParseError names the path before its message, and a DepthError stays
+    one, at its line and column."""
     try:
-        return parse_once(cache, parse, text, *args)
+        if cache is None or not isinstance(text, str):  # the parser reports non-text
+            return parse(text, *args)
+        key = (parse, text)
+        tree = cache.get(key)
+        if tree is None:
+            for src, start, tree in cache.get((_SPAN, parse, len(text)), ()):
+                if src.startswith(text, start):
+                    break
+            else:
+                tree = parse(text, *args)
+            cache[key] = tree
+        return tree
     except ParseError as e:
         err = type(e)("%s: %s" % (cl.json_path(at), e))
         err.line, err.col = e.line, e.col
@@ -684,7 +679,6 @@ def _qvar_entry(q):
 _SEQS = (tuple, list)
 
 
-@functools.cache
 def field_names(cls):
     """Field names of a node type in order; None for any other type."""
     return cls._fields if issubclass(cls, Node) else None

@@ -57,8 +57,8 @@ def test_seq_premise_programs_are_the_conclusion_suffixes():
 
 def test_shared_state_factors_are_one_object():
     cache = {}
-    a = qs.parse_once(cache, asrt.parse_state, "(|0>_q[1] + |1>_q[1]) |0>_q[2]", cache)
-    b = qs.parse_once(cache, asrt.parse_state, "(|0>_q[1] + |1>_q[1]) |1>_q[2]", cache)
+    a = qs.parse_once((), cache, asrt.parse_state, "(|0>_q[1] + |1>_q[1]) |0>_q[2]", cache)
+    b = qs.parse_once((), cache, asrt.parse_state, "(|0>_q[1] + |1>_q[1]) |1>_q[2]", cache)
     assert a.left is b.left and a.right is not b.right
     assert repr(b) == repr(asrt.parse_state("(|0>_q[1] + |1>_q[1]) |1>_q[2]"))
 

@@ -117,16 +117,26 @@ def test_a_node_behaves_as_its_frozen_dataclass(cls):
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__qualname__)
-def test_a_bad_call_is_a_type_error(cls):
+def test_a_bad_call_is_the_dataclass_type_error(cls):
     names, values = tuple(FIELDS[cls]), _values(cls)
-    calls = [lambda: cls(*values, 0), lambda: cls(*values, no_such_field=0)]
+    calls = [lambda c: c(*values, 0), lambda c: c(*values, no_such_field=0)]
     if any(d is _REQUIRED for d in FIELDS[cls].values()):
-        calls.append(lambda: cls())
+        calls.append(lambda c: c())
     if names:
-        calls.append(lambda: cls(values[0], **{names[0]: values[0]}))
+        calls.append(lambda c: c(values[0], **{names[0]: values[0]}))
     for call in calls:
-        with pytest.raises(TypeError):
-            call()
+        with pytest.raises(TypeError) as got:
+            call(cls)
+        with pytest.raises(TypeError) as want:
+            call(_twin(cls))
+        assert str(got.value) == str(want.value)
+
+
+def test_a_field_without_a_default_cannot_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="a field without a default follows one"):
+        type("Bad", (cl.Node,), {"__annotations__": {"a": int, "b": int}, "a": 0})
+    with pytest.raises(TypeError, match="at most 7 fields"):
+        type("Wide", (cl.Node,), {"__annotations__": dict.fromkeys("abcdefgh", int)})
 
 
 def test_reprs_are_the_dataclass_text():
