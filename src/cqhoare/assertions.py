@@ -586,6 +586,9 @@ def pred_equal(a, b):
 
 @dataclass
 class Verdict:
+    """Outcome of an entailment check, with the classical state that
+    refutes it and the reason it fails or cannot be decided."""
+
     status: str  # "holds" | "fails" | "inconclusive"
     witness: object = None
     reason: str = ""

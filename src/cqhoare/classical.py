@@ -10,7 +10,6 @@ from fractions import Fraction
 import inspect
 import itertools
 import math
-from operator import attrgetter
 
 FLOAT_EQ = 1e-12
 INT_TOL = 1e-9  # a float this close to an integer is read as that integer
@@ -104,9 +103,10 @@ def json_field(doc, path, kind, default=_REQUIRED, at=()):
 # Every syntax tree and value type of the package (expressions, types,
 # programs, formal states, predicates, assertions, triples, layouts) is a
 # `Node`.  A frozen dataclass compiles six methods per class at import; a
-# node class gets its `__init__`, `__eq__` and `__hash__` made from functions
-# compiled once here.  Mutable records, and records that need
-# `default_factory`, `InitVar` or slots, stay dataclasses.
+# node class gets its `__init__` made from a function compiled once here,
+# and shares `__eq__` and `__hash__`, which read the instance's `__dict__`.
+# Mutable records, and records that need `default_factory`, `InitVar` or
+# slots, stay dataclasses.
 
 _set = object.__setattr__
 
@@ -173,34 +173,6 @@ def _init_for(names, defaults):
     return init
 
 
-def _compare_for(names):
-    """`__eq__` and `__hash__` of a node class with fields `names`: nodes
-    are equal when their classes are the same and the tuples of their fields
-    equal, and hash as that tuple."""
-    if len(names) == 1:
-        get = attrgetter(names[0])
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return (get(self),) == (get(other),)
-            return NotImplemented
-
-        def __hash__(self):
-            return hash((get(self),))
-    else:
-        # the fields as a tuple, read by one C call
-        get = attrgetter(*names) if names else (lambda node: ())
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
-
-        def __hash__(self):
-            return hash(get(self))
-    return __eq__, __hash__
-
-
 def _init_post(self, *args, **kw):
     self._init(*args, **kw)
     self.__post_init__()
@@ -222,11 +194,19 @@ class Node:
         if any(hasattr(cls, n) for n in names[:len(names) - len(defaults)]):
             raise TypeError("%s: a field without a default follows one with a default"
                             % cls.__qualname__)
-        cls.__eq__, cls.__hash__ = _compare_for(names)
         if "__init__" not in cls.__dict__:
             cls._init = _init_for(names, defaults)
             cls._init.__qualname__ = cls.__qualname__ + ".__init__"
             cls.__init__ = _init_post if hasattr(cls, "__post_init__") else cls._init
+
+    # An instance's `__dict__` holds exactly its fields, in field order.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
@@ -426,22 +406,6 @@ def type_from_json(doc, path=()):
     if kind == "bits":
         return BitArrayType(bound("lo"), bound("hi"))
     raise ValueError("unknown classical type %r" % (spec,))
-
-
-def type_to_json(t):
-    if isinstance(t, BoolType):
-        return {"kind": "bool"}
-    if isinstance(t, IntType):
-        return {"kind": "int", "lo": t.lo, "hi": t.hi}
-    if isinstance(t, EnumType):
-        return {"kind": "enum", "name": t.name, "labels": list(t.labels)}
-    if isinstance(t, RealType):
-        return {"kind": "real"}
-    if isinstance(t, ComplexType):
-        return {"kind": "complex"}
-    if isinstance(t, BitArrayType):
-        return {"kind": "bits", "lo": t.lo, "hi": t.hi}
-    raise ValueError("unknown type %r" % (t,))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _read_source(arg):
 
 
 def _load_interp(args):
-    if getattr(args, "interp", None):
+    if args.interp:
         return st.load_interpretation(_read_json(args.interp))
     return st.default_interpretation()
 
@@ -52,6 +52,10 @@ def _load_interp(args):
 def _load_state(path, interp):
     doc = _read_json(path)
     sigma = cl.ClassicalState.from_json(doc, ("sigma",))
+    for name, t in interp.classical_vars.items():
+        if name in sigma and not t.contains(sigma[name]):
+            raise cl.ParseError("%s: expected a value of %s, found %s" % (
+                cl.json_path(("sigma", name)), t, json.dumps(doc["sigma"][name])))
     layout = interp.make_layout(interp.all_systems())
     rho = qs.json_field(doc, ("rho",), "object", {})
     if "pure" in rho:
@@ -76,7 +80,7 @@ def _seed(args):
     env = os.environ.get("QHL_SEED")
     if env is not None:
         return int(env)
-    return getattr(args, "seed", 0)
+    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +198,6 @@ def _cmd_fuzz(args):
 
 
 def _cmd_examples(args):
-    if args.example != "qft":
-        raise SystemExit(3)
     try:
         interp = qft.qft_interpretation(args.n)
     except ValueError as e:
@@ -224,63 +226,64 @@ def _cmd_examples(args):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser():
-    ap = argparse.ArgumentParser(
+# Each command: its help line, its handler, and its arguments as (name,
+# keywords of `add_argument`), in the order its help lists them.
+_STATE = ("--state", {"required": True})
+_FUEL = ("--fuel", {"type": int, "default": 64})
+_SEED = ("--seed", {"type": int, "default": 0})
+_COMMANDS = {
+    "parse": ("parse a program (file or text)", _cmd_parse, [("program", {})]),
+    "run": ("run a program on a cq-state", _cmd_run, [("program", {}), _STATE, _FUEL]),
+    "eval-assert": ("evaluate an assertion on a state", _cmd_eval_assert,
+                    [("assertion", {}), _STATE]),
+    "entail": ("decide a cq-assertion entailment", _cmd_entail,
+               [("pre", {}), ("post", {}), ("--domain", {"help": "typing JSON file"})]),
+    "check": ("check a proof script", _cmd_check, [("script", {})]),
+    "fuzz": ("fuzz a triple or script conclusion", _cmd_fuzz,
+             [("target", {}), ("--samples", {"type": int, "default": 20}), _SEED, _FUEL]),
+    "examples": ("bundled examples", _cmd_examples,
+                 [("example", {"choices": ["qft"]}), ("--n", {"type": int, "default": 2}),
+                  ("--samples", {"type": int, "default": 10}), _SEED]),
+}
+
+
+class _Command(argparse.Action):
+    """The command name and the arguments after it, as a subparsers action
+    takes them; the help lists each command with its help line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+
+    def _get_subactions(self):
+        return [argparse.Action((), name, metavar=name, help=spec[0])
+                for name, spec in _COMMANDS.items()]
+
+
+def _parse_args(argv):
+    """The handler of the command that `argv` names, and its arguments.
+    Only that command's parser is built."""
+    top = argparse.ArgumentParser(
         prog="cqhoare",
         description="Quantum Hoare logic with classical variables: "
                     "simulator, proof checker and fuzzer.")
-    ap.add_argument("--interp", help="interpretation JSON file")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("parse", help="parse a program (file or text)")
-    p.add_argument("program")
-    p.set_defaults(fn=_cmd_parse)
-
-    p = sub.add_parser("run", help="run a program on a cq-state")
-    p.add_argument("program")
-    p.add_argument("--state", required=True)
-    p.add_argument("--fuel", type=int, default=64)
-    p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("eval-assert", help="evaluate an assertion on a state")
-    p.add_argument("assertion")
-    p.add_argument("--state", required=True)
-    p.set_defaults(fn=_cmd_eval_assert)
-
-    p = sub.add_parser("entail", help="decide a cq-assertion entailment")
-    p.add_argument("pre")
-    p.add_argument("post")
-    p.add_argument("--domain", help="typing JSON file")
-    p.set_defaults(fn=_cmd_entail)
-
-    p = sub.add_parser("check", help="check a proof script")
-    p.add_argument("script")
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("fuzz", help="fuzz a triple or script conclusion")
-    p.add_argument("target")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=64)
-    p.set_defaults(fn=_cmd_fuzz)
-
-    p = sub.add_parser("examples", help="bundled examples")
-    p.add_argument("example", choices=["qft"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_examples)
-    return ap
+    top.add_argument("--interp", help="interpretation JSON file")
+    top.add_argument("cmd", action=_Command, nargs=argparse.PARSER, choices=_COMMANDS)
+    args = top.parse_args(argv)
+    name, *rest = args.cmd
+    _, handler, specs = _COMMANDS[name]
+    ap = argparse.ArgumentParser(prog="cqhoare " + name)
+    for arg, kw in specs:
+        ap.add_argument(arg, **kw)
+    return handler, ap.parse_args(rest, args)
 
 
 def main(argv=None):
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        handler, args = _parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 3
     try:
-        return args.fn(args)
+        return handler(args)
     except (qs.ParseError, st.InterpError, st.ResolutionError,
             sem.SemanticsError, la.LayoutError, cl.EvalError,
             FileNotFoundError, json.JSONDecodeError, KeyError,

@@ -10,6 +10,7 @@ provably has not terminated within the fuel budget.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -33,6 +34,9 @@ FUZZ_STACK_BYTES = 2 ** 19
 
 @dataclass
 class RunConfig:
+    """Fuzzer settings: the loop budget, the branch cap, the number of
+    random pure and mixed inputs per classical state, and the seed."""
+
     fuel: int = 64
     branch_cap: int = sem.BRANCH_CAP
     samples: int = 20
@@ -49,6 +53,10 @@ class RunConfig:
 
 @dataclass
 class FuzzRecord:
+    """One fuzzed input: its classical state and quantum input kind, the
+    two sides of the triple's inequality, the non-termination credit and
+    the margin between them."""
+
     sigma: object
     rho_kind: str
     lhs: float
@@ -66,6 +74,9 @@ class FuzzRecord:
 
 @dataclass
 class FuzzReport:
+    """Every record of one `fuzz_triple` call, its verdict and worst
+    margin, and the settings it ran with."""
+
     triple: object
     mode: str
     records: list
@@ -113,13 +124,15 @@ def _input_rhos(rng, d, samples):
     stack[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     parts = rng.standard_normal((samples, 2, d))
     v = parts[:, 0] + 1j * parts[:, 1]
-    # np.linalg.norm of one vector sums with `dot`; over a stack it may round otherwise
-    v /= np.array([np.linalg.norm(u) for u in v])[:, None]
+    # each norm as np.linalg.norm takes it: `dot` over the strided real and
+    # imaginary views; a contiguous copy or a stack may round otherwise
+    v /= np.array([math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag)) for u in v])[:, None]
     stack[d:d + samples] = v[:, :, None] * v.conj()[:, None, :]
     by_rank = {}  # rank -> (indices into the mixed states, factors)
     for i in range(samples):
         rank = int(rng.integers(1, d + 1))
-        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        re, im = rng.standard_normal((2, d, rank))
+        g = re + 1j * im
         idx, gs = by_rank.setdefault(rank, ([], []))
         idx.append(d + samples + i)
         gs.append(g)

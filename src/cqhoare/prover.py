@@ -33,6 +33,9 @@ class HoareTriple(cl.Node):
 
 @dataclass
 class ProofNode:
+    """One step of a proof script: a rule, the triple it concludes, its
+    premise nodes and the witnesses its side conditions take."""
+
     rule: str
     conclusion: HoareTriple
     premises: tuple = ()
@@ -41,6 +44,9 @@ class ProofNode:
 
 @dataclass
 class NodeVerdict:
+    """Outcome of checking one proof node, with the side conditions it
+    decided."""
+
     status: str  # "accepted" | "rejected" | "inconclusive"
     reason: str = ""
     side_conditions: list = field(default_factory=list)
@@ -52,6 +58,8 @@ class NodeVerdict:
 
 @dataclass
 class CheckReport:
+    """The verdict of every node of a proof script, with its path and rule."""
+
     nodes: list  # of (path, rule, NodeVerdict)
 
     @property

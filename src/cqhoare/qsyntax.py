@@ -134,6 +134,8 @@ _SYMBOLS = [":=", "<=", ">=", "!=", "->", "..",
 
 @dataclass(slots=True)
 class Tok:
+    """A token of the concrete syntax and where it starts in the source."""
+
     kind: str  # NUM IDENT KW SYM EOF
     text: str
     line: int
@@ -633,31 +635,6 @@ def pretty(p):
 # Static analyses
 
 
-def dist_formula(targets):
-    """Formula asserting that the target list resolves to pairwise distinct
-    systems: occurrences with different base names are always distinct,
-    repeated simple variables never are, and same-array occurrences are
-    distinct when the subscript tuples differ somewhere."""
-    parts = []
-    targets = list(targets)
-    for i in range(len(targets)):
-        for j in range(i + 1, len(targets)):
-            a, b = targets[i], targets[j]
-            if a.name != b.name:
-                continue
-            if not a.subs and not b.subs:
-                return cl.FALSE
-            if len(a.subs) != len(b.subs):
-                raise ValueError(
-                    "subscript arity mismatch on %r" % a.name)
-            disj = None
-            for sa, sb in zip(a.subs, b.subs):
-                term = BinOp("!=", sa, sb)
-                disj = term if disj is None else BinOp("or", disj, term)
-            parts.append(disj)
-    return cl.conj(*parts)
-
-
 def _qvar_entry(q):
     vals = []
     for s in q.subs:
@@ -781,8 +758,3 @@ def classical_vars(x):
         elif isinstance(n, (Assign, Measure)):
             out.add(n.var)
     return out
-
-
-def modified_vars(x):
-    """Classical variables written by a program."""
-    return {n.var for n in nodes(x) if isinstance(n, (Assign, Measure))}

@@ -26,6 +26,9 @@ class SemanticsError(ValueError):
 
 @dataclass
 class CqState:
+    """A classical-quantum state: a classical state and the partial
+    density operator that goes with it."""
+
     sigma: cl.ClassicalState
     rho: DensityOperator
 
@@ -35,6 +38,8 @@ class CqState:
 
 @dataclass
 class Configuration:
+    """A program still to run, or None once terminated, and its state."""
+
     program: object  # Program or None when terminated
     state: CqState
 
@@ -114,6 +119,9 @@ def _atomic(p, state, interp):
 
 @dataclass
 class _Succ:
+    """A successor configuration of one step, marked when the step
+    unrolls a loop."""
+
     program: object
     state: CqState
     loop_step: bool = False
@@ -121,6 +129,9 @@ class _Succ:
 
 @dataclass
 class StepResult:
+    """The successors of one small step, and whether a distinctness
+    premise blocked it."""
+
     successors: list
     blocked: bool = False
 
@@ -375,6 +386,10 @@ def multiset_equal(items1, items2, tol=1e-12):
 
 @dataclass
 class EquivVerdict:
+    """Whether two programs agree on the checked inputs: True, False or
+    None when undecided, with a reason and the classical state where
+    they part."""
+
     equal: object  # True / False / None (inconclusive)
     reason: str = ""
     witness: object = None

@@ -56,6 +56,9 @@ def _check_params(kind, fam, params):
 
 @dataclass
 class GateFamily:
+    """A named family of unitaries over systems of `dims`, one for each
+    tuple of parameters of `param_types`."""
+
     name: str
     param_types: tuple
     dims: tuple
@@ -85,6 +88,9 @@ class GateFamily:
 
 @dataclass
 class MeasurementFamily:
+    """A named measurement over systems of `dims`: one operator per
+    outcome of `outcome_type`, checked for completeness against `tol`."""
+
     name: str
     outcome_type: object
     dims: tuple
@@ -162,6 +168,9 @@ class KrausSymbol:
 
 @dataclass
 class AtomicPredicate:
+    """A named family of effects over systems of `dims`, one for each
+    tuple of parameters of `param_types`."""
+
     name: str
     param_types: tuple
     dims: tuple
@@ -339,6 +348,10 @@ def builtin_predicates():
 
 @dataclass
 class Interpretation:
+    """The declarations a program and its assertions are read against:
+    typed classical variables, quantum systems, gates, measurements, Kraus
+    symbols, atomic predicates and tolerances."""
+
     classical_vars: dict = field(default_factory=dict)
     quantum_vars: dict = field(default_factory=dict)
     gates: dict = field(default_factory=builtin_gates)

@@ -79,10 +79,17 @@ def test_unbound_variable():
         ev("x + 1")
 
 
-def test_types_json_roundtrip():
-    for t in (cl.BoolType(), cl.IntType(-2, 5), cl.EnumType("ab", ("a", "b")),
-              cl.RealType(), cl.ComplexType(), cl.BitArrayType(1, 3)):
-        assert cl.type_from_json(cl.type_to_json(t)) == t
+def test_types_from_json():
+    for doc, t in (({"kind": "bool"}, cl.BoolType()), ("bool", cl.BoolType()),
+                   ({"kind": "int", "lo": -2, "hi": 5}, cl.IntType(-2, 5)),
+                   ({"kind": "enum", "name": "ab", "labels": ["a", "b"]},
+                    cl.EnumType("ab", ("a", "b"))),
+                   ({"kind": "enum", "labels": ["a"]}, cl.EnumType("enum", ("a",))),
+                   ({"kind": "real"}, cl.RealType()), ("complex", cl.ComplexType()),
+                   ({"kind": "bits", "lo": 1, "hi": 3}, cl.BitArrayType(1, 3))):
+        assert cl.type_from_json(doc) == t
+    with pytest.raises(ValueError, match="unknown classical type 'nat'"):
+        cl.type_from_json("nat")
 
 
 def test_state_json_roundtrip():

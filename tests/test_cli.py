@@ -169,6 +169,87 @@ def test_usage_errors_exit_3(capsys, files):
     capsys.readouterr()
 
 
+# each command with operands that parse, and one of its integer options
+_OPERANDS = {"parse": ["skip"], "run": ["skip", "--state", "S"],
+             "eval-assert": ["A", "--state", "S"], "entail": ["A", "B"], "check": ["S"],
+             "fuzz": ["T"], "examples": ["qft"]}
+_INT_OPTION = {"run": "--fuel", "fuzz": "--samples", "examples": "--n"}
+
+
+def _usage_errors():
+    cases = [([], "the following arguments are required: cmd"),
+             (["nope"], "argument cmd: invalid choice: 'nope'"),
+             (["--interp"], "argument --interp: expected one argument")]
+    for cmd, ok in _OPERANDS.items():
+        cases += [([cmd], "cqhoare %s: error: the following arguments are required: " % cmd),
+                  ([cmd, *ok, "extra"], "unrecognized arguments: extra"),
+                  ([cmd, *ok, "--interp", "I"], "unrecognized arguments: --interp I")]
+        if cmd in _INT_OPTION:
+            cases.append(([cmd, *ok, _INT_OPTION[cmd], "x"], "invalid int value: 'x'"))
+    return [pytest.param(argv, message, id=" ".join(argv) or "no arguments")
+            for argv, message in cases]
+
+
+def _no_handlers(monkeypatch, handler=None):
+    """Each command's handler replaced by `handler`, or by one that fails."""
+    def fail(args):
+        raise AssertionError("a handler ran")
+
+    for name, (text, _, specs) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (text, handler or fail, specs))
+
+
+@pytest.mark.parametrize("argv, message", _usage_errors())
+def test_usage_error_exits_3_with_its_message(capsys, monkeypatch, argv, message):
+    _no_handlers(monkeypatch)
+    assert cli.main(argv) == 3
+    cap = capsys.readouterr()
+    assert cap.out == "" and message in cap.err and cap.err.startswith("usage: cqhoare")
+
+
+@pytest.mark.parametrize("cmd", [None, *_OPERANDS])
+def test_help_exits_0_with_usage_on_stdout(capsys, monkeypatch, cmd):
+    _no_handlers(monkeypatch)
+    assert cli.main(["--help"] if cmd is None else [cmd, "--help"]) == 0
+    cap = capsys.readouterr()
+    assert cap.err == "" and cap.out.startswith("usage: cqhoare %s[-h]"
+                                                % ("" if cmd is None else cmd + " "))
+    if cmd is None:
+        for name, (text, _, _) in cli._COMMANDS.items():
+            assert "\n    %-20s%s\n" % (name, text) in cap.out
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["parse", "--", "-x"], {"program": "-x", "interp": None}),
+    (["run", "--state", "S", "--", "-x"], {"program": "-x", "state": "S", "fuel": 64}),
+    (["eval-assert", "--state", "S", "--", "-x"], {"assertion": "-x", "state": "S"}),
+    (["entail", "A", "--", "-x"], {"pre": "A", "post": "-x", "domain": None}),
+    (["--interp", "I", "check", "--", "-x"], {"script": "-x", "interp": "I"}),
+    (["fuzz", "--seed", "-3", "--", "-x"],
+     {"target": "-x", "samples": 20, "seed": -3, "fuel": 64}),
+    (["examples", "--n", "3", "--", "qft"], {"example": "qft", "n": 3, "samples": 10,
+                                             "seed": 0}),
+], ids=["parse", "run", "eval-assert", "entail", "check", "fuzz", "examples"])
+def test_each_command_gets_its_operands_after_a_double_dash(monkeypatch, argv, want):
+    seen = []
+    _no_handlers(monkeypatch, lambda args: seen.append(vars(args)) or 0)
+    assert cli.main(argv) == 0
+    assert len(seen) == 1 and {k: seen[0][k] for k in want} == want
+
+
+@pytest.mark.parametrize("value", [[1], None, {"a": 1}, 5, True],
+                         ids=["list", "null", "object", "out of range", "boolean"])
+def test_run_of_a_state_outside_its_declared_type_exits_3(capsys, files, value):
+    tmp_path, interp, _ = files
+    state = tmp_path / "bad-state.json"
+    state.write_text(json.dumps({"sigma": {"x": value}}))
+    code, doc, err = run_cli(capsys, "--interp", interp, "run",
+                             "while x = 1 do x := M[q]; H[q] od", "--state", str(state))
+    assert code == 3 and doc is None
+    assert err == "error: sigma.x: expected a value of Int(0..1), found %s\n" % (
+        json.dumps(value))
+
+
 def test_deep_program_exits_3_without_traceback(capsys):
     # 2,000 nested conditionals: the recursive-descent parser cannot go deeper
     src = "skip"

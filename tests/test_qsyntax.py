@@ -60,21 +60,6 @@ def test_seq_is_right_associative():
     assert isinstance(p, qs.Seq) and isinstance(p.second, qs.Seq)
 
 
-def test_dist_formula():
-    # same simple variable twice can never be distinct
-    f = qs.dist_formula((qs.QVar("q"), qs.QVar("q")))
-    assert cl.formula_equal(f, cl.FALSE)
-    # different simple variables always are
-    f = qs.dist_formula((qs.QVar("q"), qs.QVar("p")))
-    assert cl.formula_equal(f, cl.TRUE)
-    # same array: subscripts must differ
-    f = qs.dist_formula((qs.QVar("q", (cl.Var("i"),)),
-                         qs.QVar("q", (cl.Var("k"),))))
-    st = cl.ClassicalState({"i": 1, "k": 1})
-    assert not cl.satisfies(st, f)
-    assert cl.satisfies(st.update("k", 2), f)
-
-
 def test_quantum_and_classical_vars():
     p = qs.parse_program("H[q[1]]; x := M[p]; y := x + 1", measurements={"M"})
     qv = qs.quantum_vars(p)
@@ -97,12 +82,6 @@ def test_same_syntax_compares_programs_up_to_normal_form():
         assert not qs.same_syntax(p(a), p(b)), (a, b)
 
 
-def test_modified_vars():
-    p = qs.parse_program("x := 1; if true then y := M[q] else skip fi",
-                         measurements={"M"})
-    assert qs.modified_vars(p) == {"x", "y"}
-
-
 def test_expr_precedence_text():
     e = qs.parse_expr("1 + 2 * 3 - 4")
     assert cl.eval_expr(cl.ClassicalState(), e) == 3
@@ -120,7 +99,6 @@ def test_long_sequences_need_no_recursion():
     p = qs.seq_all([qs.Skip()] * 1999 + [qs.Assign("x", cl.Var("y"))])
     assert qs.pretty(p) == "skip; " * 1999 + "x := y"
     assert qs.classical_vars(p) == {"x", "y"}
-    assert qs.modified_vars(p) == {"x"}
     assert qs.quantum_vars(p) == {}
     copy = qs.seq_all([qs.Skip()] * 1999 + [qs.Assign("x", cl.Var("y"))])
     assert qs.same_syntax(p, copy)
