@@ -242,24 +242,20 @@ def _targets(sigmas, interp, targets, what):
 # Evaluation memo
 #
 # A memo is a plain dict that one call (`check_script`, `fuzz_triple`) makes
-# for one interpretation and drops when it returns.  It holds
-#   id(node)          -> (node, token, names): the node's intern entry, made
-#                        once per node object; keeping the node keeps its id
-#                        from being reused while the memo lives
-#   ("tree", key)     -> token: one token per tree, literals compared with
-#                        their types, so Lit(1), Lit(1.0) and Lit(True) differ
+# for one interpretation and drops when it returns.  Equal trees are one
+# object (`cl.Node`), so a formal state or predicate is known by its id.  The
+# memo holds
+#   id(node)          -> (node, names): the sorted classical variables of a
+#                        formal state or predicate, found once per node;
+#                        keeping the node keeps its id from being reused
+#                        while the memo lives
 #   ("rows", rows)    -> token: one token per batch restricted to some names,
 #                        `rows` holding each member's values of them
 #   ("batch", id(batch), names) -> (batch, token): that token, made once per
 #                        batch object of more than one member and names
-#   (token, batch token) -> (stack, layout), the NotWellDefined reason, or
+#   (id(node), batch token) -> (stack, layout), the NotWellDefined reason, or
 #                        _Mixed, of a formal state at a batch restricted to
 #                        its classical variables
-#   ("layout", systems) -> the one layout object those entries share
-#   ("tensor", id(l1), id(l2)) -> (l1, l2, (layout, dims, perm)), or
-#                        (l1, l2, reason): for a tensor of states on two of
-#                        those layouts, the union layout and the axis order
-#                        that takes the product to it (None if unchanged)
 #   ("satisfying", names, id(phi)) -> (phi, (batches, error)): the batches
 #                        of the classical states over the frozenset `names`
 #                        that satisfy phi, in order, and the error phi
@@ -275,37 +271,31 @@ def _targets(sigmas, interp, targets, what):
 _FORMAL = (Ket, STensor, Superpose, GateApp, Atomic, StateProj, Neg, PTensor, Kraus)
 
 
-def _tree_key(memo, x, names):
-    """Key of a field value; adds the classical variables it mentions to
-    `names`, unless that is None."""
+def _add_names(memo, x, names):
+    """Add the classical variables that the field value `x` mentions to
+    `names`, bound ones left out."""
     if isinstance(x, _FORMAL):
-        _, token, sub = _intern(memo, x)
-        names.update(sub)
-        return token
-    if isinstance(x, tuple):
-        return tuple(_tree_key(memo, y, names) for y in x)
-    fs = qs.field_names(type(x))
-    if fs is None:
-        return (type(x), repr(x))
-    if names is not None and isinstance(x, cl.EXPRS):
+        names.update(_names(memo, x))
+    elif isinstance(x, cl.EXPRS):
         names |= cl.free_vars(x)
-        names = None  # the variables below are counted, bound ones left out
-    return (type(x),) + tuple(_tree_key(memo, getattr(x, f), names) for f in fs)
+    elif isinstance(x, tuple):
+        for y in x:
+            _add_names(memo, y, names)
+    elif isinstance(x, cl.Node):
+        for f in x._fields:
+            _add_names(memo, getattr(x, f), names)
 
 
-def _intern(memo, node):
-    """(node, token, names) for a formal state or predicate; `names` are its
-    sorted classical variables.  The key and the names of a node are built
-    from its children's entries, so each node is walked once."""
+def _names(memo, node):
+    """The sorted classical variables of a formal state or predicate, built
+    from its children's entries, so that each node is walked once."""
     entry = memo.get(id(node))
     if entry is None:
         names = set()
-        key = (type(node),) + tuple(_tree_key(memo, getattr(node, f), names)
-                                    for f in qs.field_names(type(node)))
-        # tokens are memo sizes, which never repeat as the memo only grows
-        token = memo.setdefault(("tree", key), len(memo))
-        entry = memo[id(node)] = (node, token, tuple(sorted(names)))
-    return entry
+        for f in node._fields:
+            _add_names(memo, getattr(node, f), names)
+        entry = memo[id(node)] = (node, tuple(sorted(names)))
+    return entry[1]
 
 
 _unbound = object()  # key value of a variable sigma lacks; evaluation raises
@@ -345,8 +335,7 @@ def _eval_state(sigmas, s, interp, memo=None):
     recur on the next call."""
     if memo is None:
         return _eval_state_node(sigmas, s, interp, None)
-    _, token, names = _intern(memo, s)
-    key = (token, _batch_token(memo, sigmas, names))
+    key = (id(s), _batch_token(memo, sigmas, _names(memo, s)))
     hit = memo.get(key)
     if hit is None:
         try:
@@ -358,7 +347,7 @@ def _eval_state(sigmas, s, interp, memo=None):
         else:
             vec = np.array(vec)  # a compact copy, free of the views it came from
             vec.flags.writeable = False
-            hit = (vec, memo.setdefault(("layout", layout.systems), layout))
+            hit = (vec, layout)
         memo[key] = hit
     if hit is _Mixed:
         raise _Mixed
@@ -379,7 +368,7 @@ def _eval_state_node(sigmas, s, interp, memo):
     if isinstance(s, STensor):
         v1, l1 = _eval_state(sigmas, s.left, interp, memo)
         v2, l2 = _eval_state(sigmas, s.right, interp, memo)
-        layout, dims, perm = _tensor_layout(l1, l2, interp, memo)
+        layout, dims, perm = _tensor_layout(l1, l2, interp)
         vec = (v1[:, :, None] * v2[:, None, :]).reshape(len(sigmas), -1)
         if perm is not None:
             vec = la.permute_vector(vec, dims, perm)
@@ -405,31 +394,17 @@ def _eval_state_node(sigmas, s, interp, memo):
     raise AssertionError_("unknown formal state node %r" % (s,))
 
 
-def _tensor_layout(l1, l2, interp, memo):
+def _tensor_layout(l1, l2, interp):
     """(layout, dims, perm) of a tensor of states on `l1` and `l2`: the union
     layout, and the permutation of the product's factors (of dimensions
     `dims`) into its order, None when they are in order.  Raises
     NotWellDefined when the two overlap."""
-    key = ("tensor", id(l1), id(l2))
-    hit = None if memo is None else memo.get(key)
-    if hit is None:
-        sources = l1.ids + l2.ids
-        if len(set(sources)) < len(sources):
-            out = "overlapping signatures in tensor"
-        else:
-            layout = la.union_layout(l1, l2, interp.order_key)
-            perm = [sources.index(sid) for sid in layout.ids]
-            if perm == list(range(len(perm))):
-                perm = None
-            if memo is not None:
-                layout = memo.setdefault(("layout", layout.systems), layout)
-            out = (layout, l1.dims() + l2.dims(), perm)
-        hit = (l1, l2, out)  # holding l1 and l2 keeps their ids from reuse
-        if memo is not None:
-            memo[key] = hit
-    if isinstance(hit[2], str):
-        raise NotWellDefined(hit[2])
-    return hit[2]
+    sources = l1.ids + l2.ids
+    if len(set(sources)) < len(sources):
+        raise NotWellDefined("overlapping signatures in tensor")
+    layout = la.union_layout(l1, l2, interp.order_key)
+    perm = [sources.index(sid) for sid in layout.ids]
+    return layout, l1.dims() + l2.dims(), None if perm == sorted(perm) else perm
 
 
 def _unit_state(sigmas, s, interp, memo):
@@ -729,8 +704,8 @@ def entails(phi, a, b, interp, memo=None):
     if memo is None:
         names, reflexive = qs.classical_vars((phi, a, b)), False
     else:
-        (_, ta, na), (_, tb, nb) = _intern(memo, a), _intern(memo, b)
-        names, reflexive = cl.free_vars(phi).union(na, nb), ta == tb
+        names = cl.free_vars(phi).union(_names(memo, a), _names(memo, b))
+        reflexive = a is b
     hit = _batches(names, phi, interp, memo)
     if isinstance(hit, Verdict):
         return hit

@@ -10,6 +10,7 @@ from fractions import Fraction
 import inspect
 import itertools
 import math
+import weakref
 
 FLOAT_EQ = 1e-12
 INT_TOL = 1e-9  # a float this close to an integer is read as that integer
@@ -102,80 +103,103 @@ def json_field(doc, path, kind, default=_REQUIRED, at=()):
 #
 # Every syntax tree and value type of the package (expressions, types,
 # programs, formal states, predicates, assertions, triples, layouts) is a
-# `Node`.  A frozen dataclass compiles six methods per class at import; a
-# node class gets its `__init__` made from a function compiled once here,
-# and shares `__eq__` and `__hash__`, which read the instance's `__dict__`.
-# Mutable records, and records that need `default_factory`, `InitVar` or
-# slots, stay dataclasses.
+# `Node`, and equal trees are one object: construction returns the live node
+# of the same class whose fields are the same objects (for nodes) or the
+# same values of the same types (for anything else), so 1, 1.0 and true,
+# 0.0 and -0.0, and two NaN objects stay apart.  The table of live nodes
+# holds them weakly; an entry goes when its node does.  A node class gets
+# its `__new__` from one function per number of fields, compiled once here,
+# and shares `__eq__` and `__hash__`, which stay structural.  Mutable
+# records, and records that need `default_factory`, `InitVar` or slots,
+# stay dataclasses.
 
 _set = object.__setattr__
+_nodes = {}  # (class, field keys) -> a weak reference to the node
 
 
-def _init_for(names, defaults):
-    """The `__init__` of a node class with fields `names`, the last of them
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(ref, nodes=_nodes):
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+def _key(v):
+    """The part of a node's table key that stands for the field value `v`."""
+    if isinstance(v, Node):
+        return id(v)  # the node is live while the node holding it is
+    t = type(v)
+    if t is str:
+        return v
+    if t is tuple:
+        return tuple(map(_key, v))
+    if t is int or t is bool:
+        return t, v
+    return t, v, repr(v)  # repr tells -0.0 from 0.0; NaN objects stay apart
+
+
+def _make(cls, values, key):
+    """The node of class `cls` with field values `values` and table key
+    `key`: the live one, or a new one, checked by `__post_init__` before it
+    enters the table."""
+    try:
+        ref = _nodes.get(key)
+    except TypeError:  # a field value that cannot be hashed: not shared
+        ref = key = None
+    node = ref and ref()
+    if node is None:
+        node = object.__new__(cls)
+        for name, v in zip(cls._fields, values):
+            _set(node, name, v)
+        if cls._post_init:
+            node.__post_init__()
+        if key is not None:
+            ref = _nodes[key] = _Ref(node, _drop)
+            ref.key = key
+    return node
+
+
+def _new_for(names, defaults):
+    """The `__new__` of a node class with fields `names`, the last of them
     defaulting to `defaults`: the function below for that many fields, with
-    its parameters renamed after the fields.  A call binds its arguments,
-    and reports a bad call, as the dataclass's `__init__` does; the fields
-    are set in field order, so that the instances of a class share their
-    attribute keys and read as fast as a dataclass's."""
+    its parameters renamed after the fields, so that a call binds its
+    arguments, and reports a bad call, as the dataclass's `__init__` does."""
     if len(names) > 7:
         raise TypeError("a node class has at most 7 fields")
-    n0, n1, n2, n3, n4, n5, n6 = names + (None,) * (7 - len(names))
 
-    def init0(self):
-        pass
+    def new0(cls):
+        return _make(cls, (), (cls,))
 
-    def init1(self, a):
-        _set(self, n0, a)
+    def new1(cls, a):
+        return _make(cls, (a,), (cls, _key(a)))
 
-    def init2(self, a, b):
-        _set(self, n0, a)
-        _set(self, n1, b)
+    def new2(cls, a, b):
+        return _make(cls, (a, b), (cls, _key(a), _key(b)))
 
-    def init3(self, a, b, c):
-        _set(self, n0, a)
-        _set(self, n1, b)
-        _set(self, n2, c)
+    def new3(cls, a, b, c):
+        return _make(cls, (a, b, c), (cls, _key(a), _key(b), _key(c)))
 
-    def init4(self, a, b, c, d):
-        _set(self, n0, a)
-        _set(self, n1, b)
-        _set(self, n2, c)
-        _set(self, n3, d)
+    def new4(cls, a, b, c, d):
+        return _make(cls, (a, b, c, d), (cls, _key(a), _key(b), _key(c), _key(d)))
 
-    def init5(self, a, b, c, d, e):
-        _set(self, n0, a)
-        _set(self, n1, b)
-        _set(self, n2, c)
-        _set(self, n3, d)
-        _set(self, n4, e)
+    def new5(cls, a, b, c, d, e):
+        return _make(cls, (a, b, c, d, e),
+                     (cls, _key(a), _key(b), _key(c), _key(d), _key(e)))
 
-    def init6(self, a, b, c, d, e, f):
-        _set(self, n0, a)
-        _set(self, n1, b)
-        _set(self, n2, c)
-        _set(self, n3, d)
-        _set(self, n4, e)
-        _set(self, n5, f)
+    def new6(cls, a, b, c, d, e, f):
+        return _make(cls, (a, b, c, d, e, f),
+                     (cls, _key(a), _key(b), _key(c), _key(d), _key(e), _key(f)))
 
-    def init7(self, a, b, c, d, e, f, g):
-        _set(self, n0, a)
-        _set(self, n1, b)
-        _set(self, n2, c)
-        _set(self, n3, d)
-        _set(self, n4, e)
-        _set(self, n5, f)
-        _set(self, n6, g)
+    def new7(cls, a, b, c, d, e, f, g):
+        return _make(cls, (a, b, c, d, e, f, g),
+                     (cls, _key(a), _key(b), _key(c), _key(d), _key(e), _key(f), _key(g)))
 
-    init = (init0, init1, init2, init3, init4, init5, init6, init7)[len(names)]
-    init.__code__ = init.__code__.replace(co_name="__init__", co_varnames=("self",) + names)
-    init.__defaults__ = defaults or None
-    return init
-
-
-def _init_post(self, *args, **kw):
-    self._init(*args, **kw)
-    self.__post_init__()
+    new = (new0, new1, new2, new3, new4, new5, new6, new7)[len(names)]
+    new.__code__ = new.__code__.replace(co_name="__init__", co_varnames=("cls",) + names)
+    new.__defaults__ = defaults or None
+    return new
 
 
 class Node:
@@ -183,7 +207,8 @@ class Node:
     fields as annotations, with trailing defaults as class attributes, and
     may define `__post_init__`, which construction calls.  Construction by
     position or keyword, `==`, `hash`, `repr` and the refusal to assign are
-    those of a frozen dataclass."""
+    those of a frozen dataclass; `==` is structural, so `Lit(1) == Lit(True)`
+    holds although the two are distinct objects."""
 
     _fields = ()
 
@@ -194,13 +219,15 @@ class Node:
         if any(hasattr(cls, n) for n in names[:len(names) - len(defaults)]):
             raise TypeError("%s: a field without a default follows one with a default"
                             % cls.__qualname__)
-        if "__init__" not in cls.__dict__:
-            cls._init = _init_for(names, defaults)
-            cls._init.__qualname__ = cls.__qualname__ + ".__init__"
-            cls.__init__ = _init_post if hasattr(cls, "__post_init__") else cls._init
+        cls._post_init = hasattr(cls, "__post_init__")
+        new = _new_for(names, defaults)
+        new.__qualname__ = cls.__qualname__ + ".__init__"
+        cls.__new__ = new
 
     # An instance's `__dict__` holds exactly its fields, in field order.
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self.__dict__ == other.__dict__
         return NotImplemented
@@ -830,21 +857,12 @@ def _flatten(op, e, out):
         out.append(e)
 
 
-class _TypedLit(Node):
-    """A literal in normal form: its Python type is part of it, so that
-    1, 1.0 and true, which are equal as Python values, do not match."""
-
-    kind: type
-    value: object
-
-
 def normalize(expr, bound=None):
     """Canonical form: and/or flattened right-associatively, bound variables
-    renamed positionally, literals tagged with their type.  Used for
-    structural formula equality."""
+    renamed positionally.  Used for structural formula equality."""
     bound = bound or {}
     if isinstance(expr, Lit):
-        return _TypedLit(type(expr.value), expr.value)
+        return expr
     if isinstance(expr, Var):
         return Var(bound.get(expr.name, expr.name))
     if isinstance(expr, BinOp):
@@ -878,7 +896,9 @@ def normalize(expr, bound=None):
 
 
 def formula_equal(a, b):
-    return normalize(a) == normalize(b)
+    """Whether two formulas have one normal form.  Equal trees are one
+    object whose literals have the same types, so 1, 1.0 and true differ."""
+    return a is b or normalize(a) is normalize(b)
 
 
 def conj(*parts):

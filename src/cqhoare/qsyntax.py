@@ -656,17 +656,13 @@ def _qvar_entry(q):
 _SEQS = (tuple, list)
 
 
-def field_names(cls):
-    """Field names of a node type in order; None for any other type."""
-    return cls._fields if issubclass(cls, Node) else None
-
-
 @functools.cache
 def _fields(cls):
     """Field names of a node type in order; () for an expression, which is
     a leaf, and None for a type that is not syntax, such as str."""
-    names = field_names(cls)
-    return () if names is not None and issubclass(cls, cl.EXPRS) else names
+    if not issubclass(cls, Node):
+        return None
+    return () if issubclass(cls, cl.EXPRS) else cls._fields
 
 
 def nodes(x):

@@ -285,7 +285,8 @@ def _counting_eval(monkeypatch):
 
 def test_reflexive_entailment_evaluates_one_side(monkeypatch):
     interp = interp2()
-    a, b = _product_ket(cl.Lit(1)), _product_ket(cl.Lit(1))  # one tree, twice
+    a, b = _product_ket(cl.Lit(1)), _product_ket(cl.Lit(1))  # equal trees: one object
+    assert a is b
     calls = _counting_eval(monkeypatch)
     plain = asrt.entails(cl.TRUE, a, b, interp)
     assert calls == [(id(a), 4), (id(b), 4)]  # each side once, at all 4 states
@@ -299,15 +300,13 @@ def test_reflexive_entailment_evaluates_one_side(monkeypatch):
 def test_memo_tells_literal_types_apart(monkeypatch):
     interp = interp2()
     one, true = _product_ket(cl.Lit(1)), _product_ket(cl.Lit(True))
-    assert one == true  # dataclass equality merges them
+    assert one == true and one is not true  # equal, but two trees
     calls = _counting_eval(monkeypatch)
     memo = {}
     v = asrt.entails(cl.TRUE, one, true, interp, memo)
     assert v.holds and v.reason == "4 states checked"
     assert calls == [(id(one), 4), (id(true), 4)]  # not reflexive: both sides
-    t1 = asrt._intern(memo, one.state)[1]
-    t2 = asrt._intern(memo, true.state)[1]
-    assert t1 != t2
+    t1, t2 = id(one.state), id(true.state)
     entries = [k for k in memo if isinstance(k, tuple) and isinstance(k[0], int)]
     assert {k[0] for k in entries} >= {t1, t2}
     assert len({k[1] for k in entries if k[0] in (t1, t2)}) == 1  # one batch
@@ -318,10 +317,11 @@ def test_memo_shares_entries_between_equal_trees():
     memo = {}
     s1 = asrt.parse_state("(1/sqrt(2)) * (|0>_q1) + (1/sqrt(2)) * (|1>_q1)")
     s2 = asrt.parse_state("(1/sqrt(2)) * (|0>_q1) + (1/sqrt(2)) * (|1>_q1)")
-    assert s1 is not s2
+    assert s1 is s2  # equal trees are one object, parsed apart
     v1, l1 = asrt.eval_state(SIGMA, s1, interp, memo=memo)
     v2, l2 = asrt.eval_state(SIGMA, s2, interp, memo=memo)
-    assert v1.base is v2.base and l1 == l2  # rows of one stored stack
+    assert v1.base is v2.base and l1 is l2  # rows of one stored stack
+    assert len([k for k in memo if isinstance(k, tuple) and k[0] == id(s1)]) == 1
     assert not v1.flags.writeable
     ref, _ = asrt.eval_state(SIGMA, s1, interp)
     assert np.array_equal(ref, v1)
@@ -342,8 +342,7 @@ def test_memo_keeps_not_well_defined_but_not_errors():
               if isinstance(k, tuple) and isinstance(k[0], int)}
     reasons = [v for v in stored.values() if isinstance(v, str)]
     assert reasons == ["overlapping signatures in tensor"]
-    token = asrt._intern(memo, undeclared)[1]
-    assert all(k[0] != token for k in stored)
+    assert all(k[0] != id(undeclared) for k in stored)
 
 
 # `values()` of this type would be a million-element list

@@ -1,8 +1,11 @@
 """`classical.Node`, the base of every immutable tree and value type: each
 class behaves as the frozen dataclass it replaced, checked against a twin
-frozen dataclass with the same fields, and no frozen dataclass is left."""
+frozen dataclass with the same fields, and no frozen dataclass is left.
+Equal trees are one object, and the table that makes them so keeps no node
+alive."""
 
 import dataclasses
+import gc
 import importlib
 import pkgutil
 
@@ -13,6 +16,7 @@ from cqhoare import assertions as asrt
 from cqhoare import classical as cl
 from cqhoare import linalg as la
 from cqhoare import prover as pv
+from cqhoare import qft
 from cqhoare import qsyntax as qs
 from cqhoare import structures as st
 
@@ -31,7 +35,6 @@ FIELDS = {
     cl.BinFrac: {"array": _REQUIRED, "lo": _REQUIRED, "hi": _REQUIRED},
     cl.Call: {"fn": _REQUIRED, "args": _REQUIRED},
     cl.Quant: {"kind": _REQUIRED, "var": _REQUIRED, "vartype": _REQUIRED, "body": _REQUIRED},
-    cl._TypedLit: {"kind": _REQUIRED, "value": _REQUIRED},
     qs.QVar: {"name": _REQUIRED, "subs": ()}, qs.Skip: {},
     qs.Assign: {"var": _REQUIRED, "expr": _REQUIRED}, qs.Init: {"qvar": _REQUIRED},
     qs.Gate: {"name": _REQUIRED, "params": _REQUIRED, "targets": _REQUIRED},
@@ -96,7 +99,7 @@ def test_every_node_class_is_listed():
 def test_a_node_behaves_as_its_frozen_dataclass(cls):
     names, twin, values = tuple(FIELDS[cls]), _twin(cls), _values(cls)
     node, same = cls(*values), cls(*values)
-    assert qs.field_names(cls) == names
+    assert cls._fields == names
     assert repr(node) == repr(twin(*values))
     assert node == same and not node != same and hash(node) == hash(twin(*values))
     assert node == cls(**dict(zip(names, values)))
@@ -161,7 +164,8 @@ def test_reprs_are_the_dataclass_text():
 def test_equal_values_of_other_types_make_equal_literals():
     one, true, real = cl.Lit(1), cl.Lit(True), cl.Lit(1.0)
     assert one == true == real and hash(one) == hash(true) == hash(real) == hash((1,))
-    assert cl.normalize(one) != cl.normalize(true)  # the typed form tells them apart
+    assert one is not true and one is not real and true is not real
+    assert not cl.formula_equal(one, true) and not cl.formula_equal(one, real)
     nan = float("nan")
     assert cl.Lit(nan) == cl.Lit(nan)  # the same object, as a tuple compares it
     assert cl.Lit(float("nan")) != cl.Lit(float("nan"))
@@ -204,3 +208,61 @@ def test_every_dataclass_has_a_docstring():
     bare = [c.__module__ + "." + c.__qualname__ for c in _package_classes()
             if dataclasses.is_dataclass(c) and c.__doc__.startswith(c.__name__ + "(")]
     assert bare == []
+
+
+def _conclusions(root):
+    stack, out = [root], []
+    while stack:
+        node = stack.pop()
+        out.append(node.conclusion)
+        stack.extend(node.premises)
+    return out
+
+
+def test_equal_trees_are_one_object():
+    text = "x := 1; if x = 1 then H[q] else skip fi"
+    assert qs.parse_program(text) is qs.parse_program(text)
+    state = "(1/sqrt(2)) * (|0>_q1) + (1/sqrt(2)) * (|1>_q1)"
+    assert asrt.parse_state(state) is asrt.parse_state(state)
+    (p1, r1), (p2, r2) = qft.generate_qft(3), qft.generate_qft(3)
+    assert p1 is p2 and r1 is not r2  # proof nodes are mutable records
+    assert all(a is b for a, b in zip(_conclusions(r1), _conclusions(r2)))
+    t = r1.conclusion
+    assert cl.replace(t) is t and cl.replace(t, mode=t.mode) is t
+    assert qs.map_exprs(t, lambda e: e) is t
+    systems = ((("q", (1,)), 2), (("q", (2,)), 2))
+    built = tuple((("q", (i,)), 2) for i in (1, 2))
+    assert built is not systems and la.RegisterLayout(built) is la.RegisterLayout(systems)
+
+
+def test_literals_of_other_types_or_signs_stay_apart():
+    lits = [cl.Lit(1), cl.Lit(1.0), cl.Lit(True), cl.Lit(0.0), cl.Lit(-0.0)]
+    assert len(set(map(id, lits))) == 5
+    assert [cl.Lit(v) for v in (1, 1.0, True, 0.0, -0.0)] == lits
+    assert all(cl.Lit(x.value) is x for x in lits)
+    x = cl.Var("x")
+    one, true = cl.BinOp("+", x, lits[0]), cl.BinOp("+", x, lits[2])
+    assert one == true and one is not true  # structural equality still merges them
+    assert cl.Lit(0.0) == cl.Lit(-0.0) and cl.Lit(0j) is not cl.Lit(complex(0, -0.0))
+
+
+def test_a_construction_whose_post_init_raises_interns_nothing():
+    before = set(cl._nodes)
+    with pytest.raises(ValueError, match="empty bit array range"):
+        cl.BitArrayType(3, 1)
+    with pytest.raises(la.LayoutError, match="duplicate system q"):
+        la.RegisterLayout(((("q", ()), 2), (("q", ()), 2)))
+    assert set(cl._nodes) <= before
+
+
+def test_the_table_holds_no_node_after_its_last_reference_goes():
+    gc.collect()
+    before = set(cl._nodes)
+    interp = qft.qft_interpretation(3)
+    script = qft.generate_qft(3)[1]
+    assert pv.check_script(script, interp).accepted
+    made = [ref for key, ref in cl._nodes.items() if key not in before]
+    assert made and all(ref() is not None for ref in made)
+    del interp, script
+    gc.collect()
+    assert all(ref() is None and cl._nodes.get(ref.key) is not ref for ref in made)
