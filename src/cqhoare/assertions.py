@@ -368,10 +368,14 @@ def _eval_state_node(sigmas, s, interp, memo):
     if isinstance(s, STensor):
         v1, l1 = _eval_state(sigmas, s.left, interp, memo)
         v2, l2 = _eval_state(sigmas, s.right, interp, memo)
-        layout, dims, perm = _tensor_layout(l1, l2, interp)
+        sources = l1.ids + l2.ids
+        if len(set(sources)) < len(sources):
+            raise NotWellDefined("overlapping signatures in tensor")
+        layout = la.union_layout(l1, l2, interp.order_key)
+        perm = [sources.index(sid) for sid in layout.ids]
         vec = (v1[:, :, None] * v2[:, None, :]).reshape(len(sigmas), -1)
-        if perm is not None:
-            vec = la.permute_vector(vec, dims, perm)
+        if perm != sorted(perm):  # the product's factors out of the layout's order
+            vec = la.permute_vector(vec, l1.dims() + l2.dims(), perm)
         return vec, layout
     if isinstance(s, Superpose):
         a1 = _each(sigmas, (s.c1,), lambda x: complex(cl.eval_expr(x, s.c1)))
@@ -392,19 +396,6 @@ def _eval_state_node(sigmas, s, interp, memo):
         u = gate.matrix(_params(sigmas, s.params), interp.tolerances)
         return la.apply_left(u, v[..., None], sids, layout)[..., 0], layout
     raise AssertionError_("unknown formal state node %r" % (s,))
-
-
-def _tensor_layout(l1, l2, interp):
-    """(layout, dims, perm) of a tensor of states on `l1` and `l2`: the union
-    layout, and the permutation of the product's factors (of dimensions
-    `dims`) into its order, None when they are in order.  Raises
-    NotWellDefined when the two overlap."""
-    sources = l1.ids + l2.ids
-    if len(set(sources)) < len(sources):
-        raise NotWellDefined("overlapping signatures in tensor")
-    layout = la.union_layout(l1, l2, interp.order_key)
-    perm = [sources.index(sid) for sid in layout.ids]
-    return layout, l1.dims() + l2.dims(), None if perm == sorted(perm) else perm
 
 
 def _unit_state(sigmas, s, interp, memo):

@@ -104,14 +104,12 @@ def json_field(doc, path, kind, default=_REQUIRED, at=()):
 # Every syntax tree and value type of the package (expressions, types,
 # programs, formal states, predicates, assertions, triples, layouts) is a
 # `Node`, and equal trees are one object: construction returns the live node
-# of the same class whose fields are the same objects (for nodes) or the
-# same values of the same types (for anything else), so 1, 1.0 and true,
-# 0.0 and -0.0, and two NaN objects stay apart.  The table of live nodes
-# holds them weakly; an entry goes when its node does.  A node class gets
+# of the same class with the same field nodes and the same field values of
+# the same types, from a table that holds nodes weakly.  A node class gets
 # its `__new__` from one function per number of fields, compiled once here,
 # and shares `__eq__` and `__hash__`, which stay structural.  Mutable
-# records, and records that need `default_factory`, `InitVar` or slots,
-# stay dataclasses.
+# records, and records that need `default_factory`, `InitVar` or slots, stay
+# dataclasses.
 
 _set = object.__setattr__
 _nodes = {}  # (class, field keys) -> a weak reference to the node
@@ -226,10 +224,8 @@ class Node:
 
     # An instance's `__dict__` holds exactly its fields, in field order.
     def __eq__(self, other):
-        if other is self:
-            return True
         if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
+            return other is self or self.__dict__ == other.__dict__
         return NotImplemented
 
     def __hash__(self):

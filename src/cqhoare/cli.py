@@ -52,10 +52,16 @@ def _load_interp(args):
 def _load_state(path, interp):
     doc = _read_json(path)
     sigma = cl.ClassicalState.from_json(doc, ("sigma",))
-    for name, t in interp.classical_vars.items():
-        if name in sigma and not t.contains(sigma[name]):
-            raise cl.ParseError("%s: expected a value of %s, found %s" % (
-                cl.json_path(("sigma", name)), t, json.dumps(doc["sigma"][name])))
+    for name, v in sigma.items():
+        t = interp.classical_vars.get(name)
+        if t is None:  # undeclared: any value a classical variable can hold
+            ok = isinstance(v, (bool, int, float, str, cl.Bits))
+            want = "a boolean, number, string or bit array"
+        else:
+            ok, want = t.contains(v), "a value of %s" % t
+        if not ok:
+            raise cl.ParseError("%s: expected %s, found %s" % (
+                cl.json_path(("sigma", name)), want, json.dumps(doc["sigma"][name])))
     layout = interp.make_layout(interp.all_systems())
     rho = qs.json_field(doc, ("rho",), "object", {})
     if "pure" in rho:
@@ -74,13 +80,6 @@ def _load_state(path, interp):
 def _parse_program(text, interp):
     return qs.parse_program(text, measurements=set(interp.measurements),
                             allow_sections=True)
-
-
-def _seed(args):
-    env = os.environ.get("QHL_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ def _load_triple(path, interp):
 def _cmd_fuzz(args):
     interp = _load_interp(args)
     triple = _load_triple(args.target, interp)
-    cfg = hz.RunConfig(fuel=args.fuel, samples=args.samples, seed=_seed(args))
+    cfg = hz.RunConfig(fuel=args.fuel, samples=args.samples, seed=args.seed)
     report = hz.fuzz_triple(triple, interp, cfg)
     doc = report.to_json()
     doc["version"] = __version__
@@ -205,7 +204,7 @@ def _cmd_examples(args):
         return 3
     program, script = qft.generate_qft(args.n)
     report = pv.check_script(script, interp)
-    cfg = hz.RunConfig(fuel=4, samples=args.samples, seed=_seed(args))
+    cfg = hz.RunConfig(fuel=4, samples=args.samples, seed=args.seed)
     fuzz = hz.fuzz_triple(script.conclusion, interp, cfg)
     doc = {
         "program": qs.pretty(program),

@@ -138,19 +138,21 @@ def _split_last_conjunct(phi):
 # Proportionality of Kraus symbols
 
 
-def _ginibre(rng, d, rank=None):
-    rank = rank or d
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+def check_proportional(f, fp, params_values, interp):
+    """F proportional-to F': each F_i's conjugation action dominated by the
+    rank-1 F' = w, that is w^dagger rho w >= F_i^dagger rho F_i for every
+    density operator rho.  That holds iff every F_i = lambda_i w with
+    |lambda_i| <= 1, or w = 0 and every F_i = 0: taking rho pure makes each
+    F_i^dagger v a multiple of w^dagger v, and a map for which every vector
+    is an eigenvector is a scalar.  So the test below is exact.
 
-
-def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
-    """F proportional-to F': each F_i's conjugation action dominated by F'.
-
-    Tier (a): every F_i is a scalar multiple lambda_i F' with |lambda_i| <= 1
-    (sufficient).  Otherwise tier (b) randomized refutation; no violation
-    found means "inconclusive".
+    Up to eps = `tolerances.psd`: lambda_i is the least-squares coefficient
+    <w, F_i> / <w, w> (0 when <w, w> <= FLOAT_EQ), and F_i passes when every
+    entry of R_i = F_i - lambda_i w is within eps and |lambda_i| <= 1 + eps.
+    For a family that passes, with d the dimension and |w| the operator
+    norm, w^dagger rho w - F_i^dagger rho F_i has no eigenvalue below
+    -((2 eps + eps^2) |w|^2 + 2 (1 + eps) d eps |w| + (d eps)^2) at any rho,
+    since |R_i| <= d eps.
     """
     if fp.rank != 1:
         return Verdict("fails", reason="F' must have rank 1")
@@ -166,37 +168,19 @@ def check_proportional(f, fp, params_values, interp, samples=50, seed=0):
         return Verdict("holds" if not bad else "fails", reason="scalar comparison")
     if f.dims is None or fp.dims is None or f.dim != fp.dim:
         return Verdict("fails", reason="dimension mismatch")
-    ops = f.operators(params_values, interp.tolerances)
     w = fp.operators(params_values, interp.tolerances)[0]
-    denom = np.vdot(w, w)
-    tier_a = abs(denom) > cl.FLOAT_EQ
+    denom = np.vdot(w, w).real
     lambdas = []
-    if tier_a:
-        for fi in ops:
-            lam = np.vdot(w, fi) / denom
-            if np.max(np.abs(fi - lam * w)) > eps or abs(lam) > 1 + eps:
-                tier_a = False
-                break
-            lambdas.append(lam)
-    if tier_a:
-        return Verdict("holds", reason="scalar multiples, max |lambda| = %.3g"
-                       % max((abs(l) for l in lambdas), default=0.0))
-    # randomized refutation
-    d = f.dim
-    rng = np.random.default_rng(seed)
-    rhos = [np.outer(la.basis_vector(i, d), la.basis_vector(i, d).conj())
-            for i in range(d)]
-    for _ in range(samples):
-        rhos.append(_ginibre(rng, d))
-    wd = w.conj().T
-    for rho in rhos:
-        bound = wd @ rho @ w
-        for fi in ops:
-            diff = bound - fi.conj().T @ rho @ fi
-            if not la.is_psd(diff, interp.tolerances.psd):
-                return Verdict("fails", reason="dominance violated on a sampled state")
-    return Verdict("inconclusive",
-                   reason="not scalar multiples; no refutation in %d samples" % len(rhos))
+    for fi in f.operators(params_values, interp.tolerances):
+        lam = np.vdot(w, fi) / denom if denom > cl.FLOAT_EQ else 0.0
+        if np.max(np.abs(fi - lam * w)) > eps:
+            return Verdict("fails", reason="not a scalar multiple of F'")
+        if abs(lam) > 1 + eps:
+            return Verdict("fails", reason="scalar multiple with |lambda| = %.3g > 1"
+                           % abs(lam))
+        lambdas.append(lam)
+    return Verdict("holds", reason="scalar multiples, max |lambda| = %.3g"
+                   % max((abs(l) for l in lambdas), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +545,7 @@ def _check_accum1(node, interp, memo):
         vals = _const_params(t.pre.a.params)
     except cl.EvalError:
         _stop("inconclusive", "non-constant symbol parameters", side)
-    prop = check_proportional(sym, fp, vals, interp,
-                              samples=node.witnesses.get("samples", 50),
-                              seed=node.witnesses.get("seed", 0))
+    prop = check_proportional(sym, fp, vals, interp)
     side.append(("proportionality", prop.status, prop.reason))
     _require(prop.status != "fails", prop.reason, side)
     for v in (prop, mex):
@@ -744,11 +726,6 @@ def _witness_from_json(d, at):
         elif k == "weights":
             for i in range(len(field(k, kind="array"))):
                 field(k, i, kind="number")
-        elif k == "samples":
-            if field(k, kind="integer") <= 0:
-                bad(k, "a positive integer")
-        elif k == "seed":
-            field(k, kind="integer")
     return out
 
 

@@ -512,13 +512,14 @@ def parse_expr(src):
 parse_formula = parse_expr
 
 
-# Sharing trees within one document.  A `parse_once` cache is a dict that
+# Parsing each text once per document.  A `parse_once` cache is a dict that
 # lives as long as the document being read, never longer.  It maps
 # (parse, text) to the tree made from a whole text, (_SPAN, parse, length)
 # to the spans of earlier texts `parse` would read alone into a tree it
 # already made, and ("factor", text) to the tree of a bracketed state factor
-# and the levels it opens (see `assertions._StateParser`).  Equal texts give equal trees, as the parser is context-free
-# inside a span; sharing makes them the same object.
+# and the levels it opens (see `assertions._StateParser`).  Equal texts give
+# equal trees, as the parser is context-free inside a span.  Equal trees are
+# one object anyway (`cl.Node`); the cache only saves parsing them again.
 
 _SPAN = "span"
 

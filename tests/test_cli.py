@@ -90,8 +90,8 @@ def test_check_exit_codes(capsys, tmp_path):
 @pytest.mark.parametrize("witnesses", [
     {"y": [1]}, {"z": {"name": "y"}}, {"y": "not a name"}, {"z": "and"},
     {"y": ""}, {"t": 5}, {"t": "x +"}, ["y"], {"weights": 5}, {"weights": ["0.5"]},
-    {"weights": [True]}, {"samples": 0}, {"samples": 2.5}, {"samples": "9"},
-    {"seed": "1"}, {"seed": 1.0}])
+    {"weights": [True]}, {"weights": [None]}, {"weights": [[0.5]]}, {"t": ["x"]},
+    {"y": None}, {"z": 1.5}])
 def test_malformed_witness_exits_3(capsys, tmp_path, witnesses):
     doc = pv.node_to_json(qft.generate_qft(1)[1])
     doc["witnesses"] = witnesses
@@ -104,10 +104,21 @@ def test_malformed_witness_exits_3(capsys, tmp_path, witnesses):
     assert err.startswith("error: %s" % field)
 
 
+def test_witnesses_no_rule_reads_are_kept_as_they_are(capsys, tmp_path):
+    """`samples` and `seed` once tuned a sampled proportionality test; a
+    script that still carries them loads and checks as before."""
+    doc = pv.node_to_json(qft.generate_qft(1)[1])
+    doc["witnesses"] = {"samples": 0, "seed": "1"}
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(doc))
+    interp = _qft_interp_file(tmp_path, 1)
+    code, report, _ = run_cli(capsys, "--interp", str(interp), "check", str(script))
+    assert code == 0 and report["status"] == "accepted"
+
+
 def test_cli_calls_in_one_process_leak_nothing(capsys, tmp_path, monkeypatch):
     """Each of several `main` calls in one process gets only its own
     arguments and their defaults."""
-    monkeypatch.delenv("QHL_SEED", raising=False)
     interp = _qft_interp_file(tmp_path, 1)
     target = tmp_path / "triple.json"
     target.write_text(json.dumps(pv.triple_to_json(qft.generate_qft(1)[1].conclusion)))
@@ -153,9 +164,12 @@ def test_examples_determinism_and_seed_env(capsys, monkeypatch):
     code, doc1, _ = run_cli(capsys, "examples", "qft", "--n", "1")
     code, doc2, _ = run_cli(capsys, "examples", "qft", "--n", "1")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+    # `--seed` is the one way to set the seed; the environment plays no part
     monkeypatch.setenv("QHL_SEED", "99")
     code, doc3, _ = run_cli(capsys, "examples", "qft", "--n", "1")
-    assert doc3["fuzz"]["config"]["seed"] == 99
+    assert json.dumps(doc3, sort_keys=True) == json.dumps(doc1, sort_keys=True)
+    code, doc4, _ = run_cli(capsys, "examples", "qft", "--n", "1", "--seed", "7")
+    assert doc4["fuzz"]["config"]["seed"] == 7
 
 
 def test_usage_errors_exit_3(capsys, files):
@@ -248,6 +262,18 @@ def test_run_of_a_state_outside_its_declared_type_exits_3(capsys, files, value):
     assert code == 3 and doc is None
     assert err == "error: sigma.x: expected a value of Int(0..1), found %s\n" % (
         json.dumps(value))
+
+
+@pytest.mark.parametrize("value", [[1], {"a": 1}, None], ids=["list", "object", "null"])
+def test_run_of_an_undeclared_variable_of_no_value_kind_exits_3(capsys, files, value):
+    tmp_path, interp, _ = files
+    state = tmp_path / "bad-state.json"
+    state.write_text(json.dumps({"sigma": {"x": 0, "y": value}}))
+    code, doc, err = run_cli(capsys, "--interp", interp, "run",
+                             "if y = 1 then skip else skip fi", "--state", str(state))
+    assert code == 3 and doc is None
+    assert err == ("error: sigma.y: expected a boolean, number, string or bit array, "
+                   "found %s\n" % json.dumps(value))
 
 
 def test_deep_program_exits_3_without_traceback(capsys):

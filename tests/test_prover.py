@@ -310,13 +310,39 @@ def test_proportional_non_multiple_refuted():
     assert v.status == "fails"
 
 
-def test_proportional_inconclusive_on_degenerate_symbol():
+def test_proportional_holds_on_degenerate_symbol():
     interp = st.default_interpretation()
-    # the zero family is trivially dominated but the least-squares tier
-    # cannot certify it, and sampling finds no refutation
+    # w = 0 is dominated only by the zero family, which it dominates
     zero = sym("FZERO", [np.zeros((2, 2), dtype=complex)])
-    v = pv.check_proportional(zero, zero, (), interp)
-    assert v.status == "inconclusive"
+    assert pv.check_proportional(zero, zero, (), interp).holds
+    x = sym("FX0", [np.array([[0, 1], [1, 0]], dtype=complex)])
+    assert pv.check_proportional(x, zero, (), interp).status == "fails"
+
+
+def _dominance_gap(f, w, rhos):
+    """The least eigenvalue of w^dagger rho w - f^dagger rho f over `rhos`."""
+    return min(np.linalg.eigvalsh(w.conj().T @ r @ w - f.conj().T @ r @ f)[0] for r in rhos)
+
+
+def test_proportional_band_edge_and_residual_bound():
+    """A family passes within eps = tolerances.psd of exact proportionality
+    and fails just past it; what passes violates dominance by no more than
+    the bound `check_proportional` states."""
+    interp = st.default_interpretation()
+    eps, d = interp.tolerances.psd, 2
+    w = np.diag([0.5, 0.0]).astype(complex)  # |w| = 1/2, room for sub-normalization
+    off = np.array([[0, 1], [0, 0]], dtype=complex)  # orthogonal to w: lambda stays
+    wsym = sym("FW", [w])
+    rng = np.random.default_rng(0)
+    vs = rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))
+    rhos = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vs] + [np.diag([1.0, 0.0])]
+    bound = (2 * eps + eps ** 2) / 4 + (1 + eps) * d * eps + (d * eps) ** 2
+    for inside, outside in (((1 + 0.99 * eps) * w, (1 + 1.01 * eps) * w),
+                            (0.5 * w + 0.99 * eps * off, 0.5 * w + 1.01 * eps * off)):
+        assert pv.check_proportional(sym("FIN", [inside]), wsym, (), interp).holds
+        assert pv.check_proportional(sym("FOUT", [outside]), wsym, (), interp).status == "fails"
+        assert -bound <= _dominance_gap(inside, w, rhos)
+    assert _dominance_gap((1 + 0.99 * eps) * w, w, rhos) < -eps / 4  # the band is not empty
 
 
 def test_rule_locality(corpus):
