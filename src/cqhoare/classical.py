@@ -119,7 +119,7 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-def _drop(ref, nodes=_nodes):
+def _drop(ref, nodes=_nodes):  # bound here: a node may outlive the module's globals
     if nodes.get(ref.key) is ref:
         del nodes[ref.key]
 
@@ -148,7 +148,7 @@ def _make(cls, values, key):
         ref = key = None
     node = ref and ref()
     if node is None:
-        node = object.__new__(cls)
+        node = object.__new__(cls)  # fields in order: a class's nodes share their keys
         for name, v in zip(cls._fields, values):
             _set(node, name, v)
         if cls._post_init:
