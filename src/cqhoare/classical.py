@@ -104,12 +104,11 @@ def json_field(doc, path, kind, default=_REQUIRED, at=()):
 # Every syntax tree and value type of the package (expressions, types,
 # programs, formal states, predicates, assertions, triples, layouts) is a
 # `Node`, and equal trees are one object: construction returns the live node
-# of the same class with the same field nodes and the same field values of
-# the same types, from a table that holds nodes weakly.  A node class gets
-# its `__new__` from one function per number of fields, compiled once here,
-# and shares `__eq__` and `__hash__`, which stay structural.  Mutable
-# records, and records that need `default_factory`, `InitVar` or slots, stay
-# dataclasses.
+# of the same class with the same field nodes and field values of the same
+# types, from a table that holds nodes weakly.  A node class gets its
+# `__new__` from one function per number of fields, compiled once here, and
+# shares the structural `__eq__` and `__hash__`.  Mutable records, and those
+# needing `default_factory`, `InitVar` or slots, stay dataclasses.
 
 _set = object.__setattr__
 _nodes = {}  # (class, field keys) -> a weak reference to the node
@@ -230,6 +229,9 @@ class Node:
 
     def __hash__(self):
         return hash(tuple(self.__dict__.values()))
+
+    def __reduce__(self):  # copies and unpickled trees are built, so shared, anew
+        return type(self), tuple(self.__dict__.values())
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(

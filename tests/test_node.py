@@ -4,9 +4,11 @@ frozen dataclass with the same fields, and no frozen dataclass is left.
 Equal trees are one object, and the table that makes them so keeps no node
 alive."""
 
+import copy
 import dataclasses
 import gc
 import importlib
+import pickle
 import pkgutil
 
 import pytest
@@ -230,6 +232,7 @@ def test_equal_trees_are_one_object():
     t = r1.conclusion
     assert cl.replace(t) is t and cl.replace(t, mode=t.mode) is t
     assert qs.map_exprs(t, lambda e: e) is t
+    assert copy.copy(t) is t and copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
     systems = ((("q", (1,)), 2), (("q", (2,)), 2))
     built = tuple((("q", (i,)), 2) for i in (1, 2))
     assert built is not systems and la.RegisterLayout(built) is la.RegisterLayout(systems)
