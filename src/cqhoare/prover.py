@@ -176,7 +176,7 @@ def check_proportional(f, fp, params_values, interp):
         if np.max(np.abs(fi - lam * w)) > eps:
             return Verdict("fails", reason="not a scalar multiple of F'")
         if abs(lam) > 1 + eps:
-            return Verdict("fails", reason="scalar multiple with |lambda| = %.3g > 1"
+            return Verdict("fails", reason="scalar multiple with |lambda| = %.10g > 1"
                            % abs(lam))
         lambdas.append(lam)
     return Verdict("holds", reason="scalar multiples, max |lambda| = %.3g"

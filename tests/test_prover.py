@@ -312,7 +312,7 @@ def test_proportional_non_multiple_refuted():
 
 def test_proportional_holds_on_degenerate_symbol():
     interp = st.default_interpretation()
-    # w = 0 is dominated only by the zero family, which it dominates
+    # w = 0 dominates the zero family and nothing else
     zero = sym("FZERO", [np.zeros((2, 2), dtype=complex)])
     assert pv.check_proportional(zero, zero, (), interp).holds
     x = sym("FX0", [np.array([[0, 1], [1, 0]], dtype=complex)])
@@ -337,10 +337,14 @@ def test_proportional_band_edge_and_residual_bound():
     vs = rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))
     rhos = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vs] + [np.diag([1.0, 0.0])]
     bound = (2 * eps + eps ** 2) / 4 + (1 + eps) * d * eps + (d * eps) ** 2
-    for inside, outside in (((1 + 0.99 * eps) * w, (1 + 1.01 * eps) * w),
-                            (0.5 * w + 0.99 * eps * off, 0.5 * w + 1.01 * eps * off)):
+    for inside, outside, reason in (
+            ((1 + 0.99 * eps) * w, (1 + 1.01 * eps) * w,
+             "scalar multiple with |lambda| = 1.000000001 > 1"),
+            (0.5 * w + 0.99 * eps * off, 0.5 * w + 1.01 * eps * off,
+             "not a scalar multiple of F'")):
         assert pv.check_proportional(sym("FIN", [inside]), wsym, (), interp).holds
-        assert pv.check_proportional(sym("FOUT", [outside]), wsym, (), interp).status == "fails"
+        v = pv.check_proportional(sym("FOUT", [outside]), wsym, (), interp)
+        assert (v.status, v.reason) == ("fails", reason)
         assert -bound <= _dominance_gap(inside, w, rhos)
     assert _dominance_gap((1 + 0.99 * eps) * w, w, rhos) < -eps / 4  # the band is not empty
 
